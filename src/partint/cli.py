@@ -181,9 +181,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_max_family(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     relation = Relation(args.relation)
-    row = solve_instance(args.n, args.k, args.t, relation, config, None)
-    if not args.uniqueness:
-        row = type(row)(**{**asdict(row), "unique": "not_computed"})
+    row = solve_instance(
+        args.n, args.k, args.t, relation, config, None, uniqueness=args.uniqueness
+    )
     if args.format == "json":
         text = json.dumps(asdict(row), indent=2) + "\n"
     else:

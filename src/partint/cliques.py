@@ -16,16 +16,20 @@ the search only has to certify optimality or beat it.  Budgets on
 explored nodes and wall time turn an over-long search into a
 SearchBudgetExceeded carrying the best bounds found, never a silently
 inexact answer.  With deterministic=True the reported witness is the
-lexicographically smallest maximum clique in vertex order, obtained by
-prefix-forcing decision searches after the size is certified.
+lexicographically smallest maximum clique in vertex order: once the size
+is certified, one colour-bounded depth-first search over the original
+ids, trying vertices in ascending order, stops at the first clique of
+that size.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -149,21 +153,12 @@ def build_graph(
             if common(parts, parts, stop_at=t) >= t:
                 eligible |= 1 << v
 
-    adjacency = [0] * n
     if t == 0:
-        for v in range(n):
-            adjacency[v] = ((1 << n) - 1) & ~(1 << v)
+        adjacency = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
+    elif t == 1:
+        adjacency = _part_value_adjacency(tuples)
     else:
-        for u in range(n):
-            if not (eligible >> u) & 1:
-                continue
-            pu = tuples[u]
-            for v in range(u + 1, n):
-                if not (eligible >> v) & 1:
-                    continue
-                if common(pu, tuples[v], stop_at=t) >= t:
-                    adjacency[u] |= 1 << v
-                    adjacency[v] |= 1 << u
+        adjacency = _pairwise_adjacency(tuples, eligible, common, t)
     return IntersectionGraph(
         partitions=list(partitions),
         relation=relation,
@@ -171,6 +166,46 @@ def build_graph(
         adjacency=adjacency,
         eligible=eligible,
     )
+
+
+def _part_value_adjacency(tuples: list[tuple[int, ...]]) -> list[int]:
+    """Level-1 adjacency under either relation, from an index by part value.
+
+    Two partitions share a part, counted with multiplicity or not,
+    exactly when they share a part value, so a vertex's neighbours are
+    the union of the vertices holding each of its values.  A partition
+    with no parts holds no value and stays isolated.
+    """
+    holders: dict[int, int] = {}
+    for v, parts in enumerate(tuples):
+        for value in set(parts):
+            holders[value] = holders.get(value, 0) | (1 << v)
+    adjacency = []
+    for v, parts in enumerate(tuples):
+        mask = 0
+        for value in set(parts):
+            mask |= holders[value]
+        adjacency.append(mask & ~(1 << v))
+    return adjacency
+
+
+def _pairwise_adjacency(
+    tuples: list[tuple[int, ...]], eligible: int, common, t: int
+) -> list[int]:
+    """Adjacency by testing ``common`` on every pair of eligible vertices."""
+    n = len(tuples)
+    adjacency = [0] * n
+    for u in range(n):
+        if not (eligible >> u) & 1:
+            continue
+        pu = tuples[u]
+        for v in range(u + 1, n):
+            if not (eligible >> v) & 1:
+                continue
+            if common(pu, tuples[v], stop_at=t) >= t:
+                adjacency[u] |= 1 << v
+                adjacency[v] |= 1 << u
+    return adjacency
 
 
 @dataclass
@@ -181,7 +216,6 @@ class SearchOutcome:
     witness: list[int]                  # vertex ids, ascending
     star_size: int | None               # size of the seed family, if given
     star_is_maximum: bool | None        # None when no seed was given
-    unique_maximum: Verdict             # filled in by check_uniqueness callers
     nodes_explored: int
     elapsed: float
     upper_bound_at_root: int
@@ -342,48 +376,76 @@ def _validate_family(
             raise RuntimeError(f"witness members {pa} and {pb} do not {t}-intersect")
 
 
+def _colour_count(adjacency: list[int], candidates: int, stop: int) -> int:
+    """Greedy colour classes of ``candidates``, counted no further than ``stop``.
+
+    Colours the same way as ``_CliqueSearch._colour_sort``, so the full
+    count bounds the clique number of the candidate subgraph.
+    """
+    colours = 0
+    while candidates and colours < stop:
+        colours += 1
+        avail = candidates
+        while avail:
+            bit = avail & -avail
+            candidates ^= bit
+            avail = (avail ^ bit) & ~adjacency[bit.bit_length() - 1]
+    return colours
+
+
 def _lex_min_witness(
     adjacency: list[int], allowed: int, size: int, search: _CliqueSearch
 ) -> list[int]:
     """The lexicographically smallest clique of the given size, by id sequence.
 
-    Greedy prefix forcing: accept the smallest vertex under which a
-    clique of the remaining size still exists.  ``search`` runs the
-    decision subproblems (over the original, unpermuted ids).
+    One depth-first search over the original ids.  Children are tried in
+    ascending id order and keep only the common neighbours above the
+    chosen vertex, so sorted cliques are met in lexicographic order.  A
+    child whose depth plus the greedy colour bound of its candidates
+    falls short of ``size`` cannot complete such a clique and is pruned,
+    so the first clique of ``size`` reached is the answer.  Every child
+    visited is charged to ``search``'s node and time budgets.
     """
     chosen: list[int] = []
-    candidates = allowed
-    need = size
-    while need > 0:
-        pool = candidates
-        while pool:
-            bit = pool & -pool
-            v = bit.bit_length() - 1
-            pool ^= bit
-            rest = candidates & adjacency[v]
-            if search.exists(rest, need - 1):
-                chosen.append(v)
-                candidates = rest
-                need -= 1
-                break
-        else:
-            raise RuntimeError("lex-min extraction lost the clique it certified")
-    return chosen
+    pools = [allowed]  # untried candidates at each depth; len(chosen) + 1 entries
+    while pools:
+        pool = pools[-1]
+        depth = len(chosen)
+        if depth + pool.bit_count() < size:
+            pools.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        bit = pool & -pool
+        v = bit.bit_length() - 1
+        pool ^= bit
+        pools[-1] = pool
+        search._charge()
+        if depth + 1 == size:
+            return chosen + [v]
+        child = pool & adjacency[v]
+        need = size - depth - 1
+        if _colour_count(adjacency, child, need) >= need:
+            chosen.append(v)
+            pools.append(child)
+    raise RuntimeError("lex-min extraction lost the clique it certified")
 
 
 def _solve(
-    partitions: list[Partition],
-    relation: Relation,
-    t: int,
     adjacency: list[int],
     allowed: int,
     star_ids: list[int] | None,
+    validate: Callable[[list[int]], None],
     *,
     node_budget: int,
     time_budget_secs: float,
     deterministic: bool,
 ) -> SearchOutcome:
-    """Engine entry shared by the partition and set-system frontends."""
+    """Engine entry shared by the partition and set-system frontends.
+
+    ``validate`` rechecks the final witness against the frontend's own
+    relation and raises if it is not a valid family.
+    """
     start = time.perf_counter()
     star_size = None if star_ids is None else len(star_ids)
 
@@ -400,7 +462,6 @@ def _solve(
             witness=[],
             star_size=star_size,
             star_is_maximum=None if star_size is None else star_size == 0,
-            unique_maximum=Verdict.NOT_COMPUTED,
             nodes_explored=0,
             elapsed=time.perf_counter() - start,
             upper_bound_at_root=0,
@@ -420,11 +481,8 @@ def _solve(
         size, witness_perm = search.maximum(full, seed)
         witness = sorted(ids[i] for i in witness_perm)
         if deterministic and size > 0:
-            # Decision searches over original ids; reuse remaining budget.
-            lex_search = _CliqueSearch(adjacency, node_budget - search.nodes, 0.0)
-            lex_search.deadline = search.deadline
-            witness = _lex_min_witness(adjacency, allowed, size, lex_search)
-            search.nodes += lex_search.nodes
+            # Lex order is over the original ids, not the permuted ones.
+            witness = _lex_min_witness(adjacency, allowed, size, search)
     except _Abort as abort:
         best = sorted(ids[i] for i in search.best)
         raise SearchBudgetExceeded(
@@ -436,7 +494,7 @@ def _solve(
             elapsed=time.perf_counter() - start,
         ) from None
 
-    _validate_family(partitions, relation, t, witness)
+    validate(witness)
     if len(witness) != size:
         raise RuntimeError("witness size disagrees with certified maximum")
     return SearchOutcome(
@@ -444,7 +502,6 @@ def _solve(
         witness=witness,
         star_size=star_size,
         star_is_maximum=None if star_size is None else star_size == size,
-        unique_maximum=Verdict.NOT_COMPUTED,
         nodes_explored=search.nodes,
         elapsed=time.perf_counter() - start,
         upper_bound_at_root=root_bound,
@@ -466,15 +523,14 @@ def max_family(
     rechecked against the relation, and with deterministic=True it is
     the lexicographically smallest maximum family.
     """
+    validate = partial(_validate_family, graph.partitions, graph.relation, graph.t)
     if star:
-        _validate_family(graph.partitions, graph.relation, graph.t, star)
+        validate(star)
     return _solve(
-        graph.partitions,
-        graph.relation,
-        graph.t,
         graph.adjacency,
         graph.eligible,
         star,
+        validate,
         node_budget=node_budget,
         time_budget_secs=time_budget_secs,
         deterministic=deterministic,
@@ -503,6 +559,7 @@ def check_uniqueness(
         star_mask |= 1 << v
     if max_size == 0:
         return True
+    start = time.perf_counter()
     search = _CliqueSearch(graph.adjacency, node_budget, time_budget_secs)
     outside = graph.eligible & ~star_mask
     try:
@@ -519,7 +576,7 @@ def check_uniqueness(
             upper_bound=max_size,
             witness=sorted(star_ids),
             nodes_explored=search.nodes,
-            elapsed=0.0,
+            elapsed=time.perf_counter() - start,
         ) from None
     return True
 
@@ -613,41 +670,17 @@ def max_family_set_system(
     prefix = set(range(1, t + 1))
     star = [i for i, member in enumerate(members) if prefix.issubset(member)]
 
-    start = time.perf_counter()
-    perm_adj, ids = _permute(adjacency, allowed)
-    where = {v: i for i, v in enumerate(ids)}
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), len(ids) + 500))
-    search = _CliqueSearch(perm_adj, node_budget, time_budget_secs)
-    full = (1 << len(ids)) - 1
-    root_bound = search.root_bound(full) if ids else 0
-    try:
-        size, witness_perm = search.maximum(full, [where[v] for v in star])
-        witness = sorted(ids[i] for i in witness_perm)
-        if deterministic and size > 0:
-            lex_search = _CliqueSearch(adjacency, node_budget - search.nodes, 0.0)
-            lex_search.deadline = search.deadline
-            witness = _lex_min_witness(adjacency, allowed, size, lex_search)
-            search.nodes += lex_search.nodes
-    except _Abort as abort:
-        raise SearchBudgetExceeded(
-            str(abort),
-            lower_bound=search.best_size,
-            upper_bound=root_bound,
-            witness=sorted(ids[i] for i in search.best),
-            nodes_explored=search.nodes,
-            elapsed=time.perf_counter() - start,
-        ) from None
+    def validate(ids: list[int]) -> None:
+        for a, b in combinations(ids, 2):
+            if (masks[a] & masks[b]).bit_count() < t:
+                raise RuntimeError("set-system witness fails the intersection recheck")
 
-    for a, b in combinations(witness, 2):
-        if (masks[a] & masks[b]).bit_count() < t:
-            raise RuntimeError("set-system witness fails the intersection recheck")
-    return SearchOutcome(
-        max_size=size,
-        witness=witness,
-        star_size=len(star),
-        star_is_maximum=len(star) == size,
-        unique_maximum=Verdict.NOT_COMPUTED,
-        nodes_explored=search.nodes,
-        elapsed=time.perf_counter() - start,
-        upper_bound_at_root=root_bound,
+    return _solve(
+        adjacency,
+        allowed,
+        star,
+        validate,
+        node_budget=node_budget,
+        time_budget_secs=time_budget_secs,
+        deterministic=deterministic,
     )

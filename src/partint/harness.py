@@ -218,8 +218,16 @@ def solve_instance(
     relation: Relation,
     config: RunConfig,
     cache: RowCache | None = None,
+    *,
+    uniqueness: bool = True,
 ) -> SweepRow:
-    """Star vs. certified maximum for one instance; k=None mixes lengths."""
+    """Star vs. certified maximum for one instance; k=None mixes lengths.
+
+    With uniqueness=False the uniqueness search is skipped, the row says
+    ``not_computed``, and the row cache is neither read nor written.
+    """
+    if not uniqueness:
+        cache = None
     if cache is not None and config.deterministic:
         hit = cache.lookup(n, k, t, relation.value)
         if hit is not None:
@@ -244,7 +252,9 @@ def solve_instance(
         star_is_maximum = outcome.star_is_maximum
         max_size = outcome.max_size
         digest = witness_digest(members[v] for v in outcome.witness)
-        if max_size == 0:
+        if not uniqueness:
+            unique = Verdict.NOT_COMPUTED
+        elif max_size == 0:
             unique = Verdict.YES
         elif star_is_maximum:
             try:
@@ -264,7 +274,7 @@ def solve_instance(
         star_is_maximum = None
         max_size = partial.lower_bound
         digest = witness_digest(members[v] for v in partial.witness)
-        unique = Verdict.INCONCLUSIVE
+        unique = Verdict.INCONCLUSIVE if uniqueness else Verdict.NOT_COMPUTED
 
     elapsed = 0.0 if config.deterministic else round(time.perf_counter() - start, 3)
     row = SweepRow(

@@ -2,6 +2,7 @@
 
 import json
 
+from partint import harness
 from partint.cli import main
 from partint.harness import ROW_FIELDS
 
@@ -50,13 +51,19 @@ class TestMaxFamily:
         assert row["star_size"] == 3 and row["max_size"] == 4
         assert row["star_is_maximum"] is False
 
-    def test_uniqueness_can_be_skipped(self, capsys):
+    def test_uniqueness_can_be_skipped(self, capsys, monkeypatch):
+        calls = []
+        real = harness.check_uniqueness
+        monkeypatch.setattr(
+            harness, "check_uniqueness", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+        )
         code = main(
             ["max-family", "--n", "10", "--k", "3", "--no-uniqueness", "--format", "json"]
         )
         row = json.loads(capsys.readouterr().out)
         assert code == 0
         assert row["unique"] == "not_computed"
+        assert calls == []
 
     def test_mixed_lengths_when_k_omitted(self, capsys):
         code = main(["max-family", "--n", "9", "--format", "json"])

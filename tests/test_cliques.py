@@ -6,6 +6,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
+from partint import cliques
 from partint import (
     Partition,
     Relation,
@@ -79,6 +80,18 @@ class TestGraphConstruction:
                     )
                     assert bit == int(edge), (n, k, t, relation, u, v)
 
+    def test_level_one_value_index_matches_pairwise(self):
+        grid = [(n, k) for n in range(1, 23) for k in range(1, n + 1)]
+        for n, k in grid + [(40, 5), (36, 6), (30, 8)]:
+            members = enumerate_partitions(n, k)
+            tuples = [p.parts for p in members]
+            for relation in ("multiset", "proper"):
+                graph = build_graph(members, relation, 1)
+                pairwise = cliques._pairwise_adjacency(
+                    tuples, graph.eligible, common_fn(relation), 1
+                )
+                assert graph.adjacency == pairwise, (n, k, relation)
+
     def test_level_zero_is_complete(self):
         members = enumerate_partitions(9, 3)
         graph = build_graph(members, Relation.MULTISET, 0)
@@ -129,6 +142,27 @@ class TestEngineAgainstOracles:
             out = max_family(graph, deterministic=True)
             _, all_max = oracle_max_clique(members, "multiset", 1)
             assert out.witness == min(all_max)
+
+    def test_random_graph_witness_is_lexicographic_minimum(self):
+        rng = random.Random(73)
+        for _ in range(60):
+            n_vertices = rng.randint(1, 30)
+            graph = nx.gnp_random_graph(
+                n_vertices, rng.uniform(0.2, 0.9), seed=rng.randrange(10**6)
+            )
+            adjacency = [sum(1 << u for u in graph[v]) for v in range(n_vertices)]
+            out = cliques._solve(
+                adjacency,
+                (1 << n_vertices) - 1,
+                None,
+                lambda ids: None,
+                node_budget=cliques.DEFAULT_NODE_BUDGET,
+                time_budget_secs=cliques.DEFAULT_TIME_BUDGET_SECS,
+                deterministic=True,
+            )
+            maximal = [sorted(c) for c in nx.find_cliques(graph)]
+            best = max(len(c) for c in maximal)
+            assert out.witness == min(c for c in maximal if len(c) == best)
 
     def test_witness_is_a_valid_family(self):
         rng = random.Random(71)
@@ -263,6 +297,14 @@ class TestUniqueness:
         with pytest.raises(ValueError):
             check_uniqueness(graph, [0, 1], 4)
 
+    def test_budget_exhaustion_reports_elapsed_time(self):
+        members = enumerate_partitions(10, 3)
+        graph = build_graph(members, "multiset", 1)
+        star = [i for i, p in enumerate(members) if p.parts[0] == 1]
+        with pytest.raises(SearchBudgetExceeded) as info:
+            check_uniqueness(graph, star, 4, node_budget=1)
+        assert info.value.elapsed > 0
+
 
 class TestSeedValidationAndBudgets:
     def test_invalid_seed_family_rejected(self):
@@ -283,6 +325,26 @@ class TestSeedValidationAndBudgets:
         assert exc.upper_bound >= exc.lower_bound
         assert exc.nodes_explored >= 1
         assert len(exc.witness) == exc.lower_bound
+
+    def test_budget_exhausted_during_extraction_keeps_certified_size(self):
+        members = enumerate_partitions(12, 4)
+        graph = build_graph(members, "multiset", 1)
+        star = [i for i, p in enumerate(members) if p.parts[0] == 1]
+        search_only = max_family(graph, star=star, deterministic=False)
+        with pytest.raises(SearchBudgetExceeded) as info:
+            max_family(graph, star=star, node_budget=search_only.nodes_explored)
+        exc = info.value
+        assert exc.lower_bound == search_only.max_size
+        assert len(exc.witness) == exc.lower_bound
+        assert exc.nodes_explored > search_only.nodes_explored
+
+    def test_lex_min_extraction_node_count(self):
+        members = enumerate_partitions(40, 5)
+        graph = build_graph(members, "multiset", 1)
+        star = [i for i, p in enumerate(members) if p.parts[0] == 1]
+        out = max_family(graph, star=star)
+        assert out.max_size == count_partitions(39, 4)
+        assert out.nodes_explored <= 1000
 
     def test_all_lengths_entry_point(self):
         out = max_family_all_lengths(8, 1)

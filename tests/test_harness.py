@@ -128,6 +128,22 @@ class TestRowCache:
         cache = RowCache(str(path))
         assert cache.stats()["malformed"] == 2
 
+    def test_rows_without_uniqueness_bypass_the_cache(self, tmp_path):
+        path = str(tmp_path / "rows.jsonl")
+        cache = RowCache(path)
+
+        def skipped():
+            return solve_instance(
+                10, 3, 1, Relation.MULTISET, RunConfig(), cache, uniqueness=False
+            )
+
+        first = skipped()
+        assert first.unique == "not_computed"
+        assert RowCache(path).stats()["rows"] == 0
+        full = solve_instance(10, 3, 1, Relation.MULTISET, RunConfig(), cache)
+        assert full == dataclasses.replace(first, unique="no")
+        assert skipped() == first
+
     def test_inconclusive_rows_not_stored(self, tmp_path):
         path = str(tmp_path / "rows.jsonl")
         cache = RowCache(path)
