@@ -32,8 +32,10 @@ from enum import Enum
 from functools import partial
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 
 from .intersect import (
+    Relation,
     distinct_common_count,
     multiset_common_count,
 )
@@ -43,18 +45,12 @@ from .partitions import (
     ResourceGuardError,
     enumerate_all,
 )
+from .stars import star_ids
 
 ENGINE_VERSION = "1"
 
 DEFAULT_NODE_BUDGET = 10**9
 DEFAULT_TIME_BUDGET_SECS = 600.0
-
-
-class Relation(str, Enum):
-    """Which notion of sharing defines the graph's edges."""
-
-    MULTISET = "multiset"  # shared parts counted with multiplicity
-    PROPER = "proper"      # shared distinct part values
 
 
 class Verdict(str, Enum):
@@ -218,7 +214,7 @@ class SearchOutcome:
     star_is_maximum: bool | None        # None when no seed was given
     nodes_explored: int
     elapsed: float
-    upper_bound_at_root: int
+    upper_bound_at_root: int            # colour bound over the searched vertices; >= max_size
 
     @property
     def witness_size(self) -> int:
@@ -346,17 +342,19 @@ def _permute(adjacency: list[int], allowed: int) -> tuple[list[int], list[int]]:
     Returns (permuted adjacency restricted to allowed, position->original).
     """
     ids = [v for v in range(len(adjacency)) if (allowed >> v) & 1]
+    if not ids:
+        return [], []
     ids.sort(key=lambda v: (-(adjacency[v] & allowed).bit_count(), v))
-    where = {v: i for i, v in enumerate(ids)}
-    perm_adj = [0] * len(ids)
-    for v in ids:
-        mask = adjacency[v] & allowed
-        new = 0
-        while mask:
-            bit = mask & -mask
-            new |= 1 << where[bit.bit_length() - 1]
-            mask ^= bit
-        perm_adj[where[v]] = new
+    # Each row is renumbered as a string: character v of the reversed
+    # binary form is bit v, and picking the characters at the new order
+    # highest position first gives the renumbered binary form.  With one
+    # id, itemgetter returns a bare character, which join accepts too.
+    width = allowed.bit_length()
+    pick = itemgetter(*reversed(ids))
+    perm_adj = [
+        int("".join(pick(format(adjacency[v] & allowed, f"0{width}b")[::-1])), 2)
+        for v in ids
+    ]
     return perm_adj, ids
 
 
@@ -599,14 +597,9 @@ def max_family_all_lengths(
     relation = Relation(relation)
     members = enumerate_all(n, max_vertices=max_vertices)
     graph = build_graph(members, relation, t, max_vertices=max_vertices)
-    if relation is Relation.MULTISET:
-        star = [i for i, p in enumerate(members) if p.k >= t and (t == 0 or p.parts[t - 1] == 1)]
-    else:
-        required = set(range(1, t + 1))
-        star = [i for i, p in enumerate(members) if required.issubset(p.parts)]
     return max_family(
         graph,
-        star=star,
+        star=star_ids(members, relation, t),
         node_budget=node_budget,
         time_budget_secs=time_budget_secs,
         deterministic=deterministic,
@@ -639,6 +632,19 @@ class SetFamilyInstance:
         """n >= (r-t+1)(t+1): exactly when the t-star is a maximum family."""
         return self.ground_size >= (self.member_size - self.t + 1) * (self.t + 1)
 
+    @property
+    def ak_maximum(self) -> int:
+        """The maximum family size, by the Ahlswede-Khachatrian theorem.
+
+        The largest of the families {A : |A & {1..t+2i}| >= t+i} over
+        i >= 0, of sizes sum_{j >= t+i} C(t+2i, j) C(n-t-2i, r-j).
+        """
+        n, r, t = self.ground_size, self.member_size, self.t
+        return max(
+            sum(comb(t + 2 * i, j) * comb(n - t - 2 * i, r - j) for j in range(t + i, r + 1))
+            for i in range((n - t) // 2 + 1)
+        )
+
 
 def max_family_set_system(
     instance: SetFamilyInstance,
@@ -652,6 +658,18 @@ def max_family_set_system(
 
     Vertices are itertools.combinations order (lexicographic); the
     witness ids index into that order.  Seeded with the t-star.
+
+    The search runs over vertex 0 = {1..r} and its neighbours only:
+
+    - Same maximum: S_n acts transitively on r-subsets and preserves
+      |A & B|, so some maximum clique contains vertex 0.
+    - Same witness: hence the lexicographically smallest maximum clique
+      contains id 0, so it lies inside {0} | N(0), and the lex-min
+      extraction over that set returns it.
+    - The seed stays valid: every t-star member contains {1..t}, a
+      subset of vertex 0, so the star lies inside {0} | N(0).
+
+    ``upper_bound_at_root`` is then the colour bound over {0} | N(0).
     """
     n, r, t = instance.ground_size, instance.member_size, instance.t
     n_vertices = comb(n, r)
@@ -666,7 +684,7 @@ def max_family_set_system(
             if (mu & masks[v]).bit_count() >= t:
                 adjacency[u] |= 1 << v
                 adjacency[v] |= 1 << u
-    allowed = (1 << n_vertices) - 1 if n_vertices else 0
+    allowed = 1 | adjacency[0]
     prefix = set(range(1, t + 1))
     star = [i for i, member in enumerate(members) if prefix.issubset(member)]
 

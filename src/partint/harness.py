@@ -49,12 +49,12 @@ from .constructions import (
 from .intersect import multiset_common_count, t_intersects
 from .partitions import (
     DEFAULT_MAX_VERTICES,
-    Partition,
     count_all,
     count_partitions,
     enumerate_all,
     enumerate_partitions,
 )
+from .stars import star_ids
 
 ROW_FIELDS = (
     "n",
@@ -200,17 +200,6 @@ class RowCache:
 # -- single instances ------------------------------------------------------
 
 
-def _star_vertex_ids(members: list[Partition], relation: Relation, t: int) -> list[int]:
-    if relation is Relation.MULTISET:
-        return [
-            i
-            for i, p in enumerate(members)
-            if p.k >= t and (t == 0 or p.parts[t - 1] == 1)
-        ]
-    required = set(range(1, t + 1))
-    return [i for i, p in enumerate(members) if required.issubset(p.parts)]
-
-
 def solve_instance(
     n: int,
     k: int | None,
@@ -239,7 +228,7 @@ def solve_instance(
     else:
         members = enumerate_partitions(n, k, max_vertices=config.max_vertices)
     graph = build_graph(members, relation, t, max_vertices=config.max_vertices)
-    star = _star_vertex_ids(members, relation, t)
+    star = star_ids(members, relation, t)
 
     try:
         outcome = max_family(
@@ -442,9 +431,10 @@ def _t_sweep_self_check(row: SweepRow, relation: Relation) -> None:
 def cross_validate_ekr(config: RunConfig = RunConfig()) -> list[SweepRow]:
     """Exact maxima for t-intersecting families of r-subsets of [n].
 
-    Ground truth for the engine: the maximum equals C(n-t, r-t) exactly
-    when n >= (r-t+1)(t+1), and strictly exceeds it below that
-    threshold.  Any disagreement raises HarnessSelfCheckError.
+    Ground truth for the engine: the maximum is the Ahlswede-Khachatrian
+    value (``SetFamilyInstance.ak_maximum``), which is C(n-t, r-t), the
+    t-star, exactly when n >= (r-t+1)(t+1).  Any disagreement raises
+    HarnessSelfCheckError.
     Defaults: t in {1, 2}, t <= r <= 4, r <= n <= 12.
     """
     t_lo, t_hi = config.t_min or 1, config.t_max or 2
@@ -471,24 +461,10 @@ def cross_validate_ekr(config: RunConfig = RunConfig()) -> list[SweepRow]:
                         f"set-system star at (n={n}, r={r}, t={t}) has size "
                         f"{outcome.star_size}, expected C({n - t}, {r - t})"
                     )
-                if instance.at_or_above_threshold:
-                    if outcome.max_size != instance.star_size:
-                        raise HarnessSelfCheckError(
-                            f"(n={n}, r={r}, t={t}): max {outcome.max_size} != "
-                            f"C({n - t}, {r - t}) = {instance.star_size} above threshold"
-                        )
-                elif n == r:
-                    # A single r-set is the whole ground family, so the
-                    # maximum ties the star even below the threshold.
-                    if outcome.max_size != 1:
-                        raise HarnessSelfCheckError(
-                            f"(n={n}, r={r}, t={t}): one member available, "
-                            f"yet max {outcome.max_size}"
-                        )
-                elif outcome.max_size <= instance.star_size:
+                if outcome.max_size != instance.ak_maximum:
                     raise HarnessSelfCheckError(
-                        f"(n={n}, r={r}, t={t}): max {outcome.max_size} does not "
-                        f"exceed the star below the threshold"
+                        f"(n={n}, r={r}, t={t}): max {outcome.max_size} != "
+                        f"Ahlswede-Khachatrian maximum {instance.ak_maximum}"
                     )
                 members = list(combinations(range(1, n + 1), r))
                 rows.append(
@@ -725,17 +701,10 @@ def summarize_rows(rows: list[SweepRow]) -> dict:
 
 
 def summarize_ekr_rows(rows: list[SweepRow]) -> dict:
-    """verified = row matches the proven threshold prediction exactly."""
-    verified = 0
-    for row in rows:
-        instance = SetFamilyInstance(row.n, row.k, row.t)
-        if instance.at_or_above_threshold:
-            ok = row.max_size == row.star_size
-        elif row.n == row.k:
-            ok = row.max_size == 1
-        else:
-            ok = row.max_size > row.star_size
-        verified += ok
+    """verified = row matches the Ahlswede-Khachatrian maximum exactly."""
+    verified = sum(
+        row.max_size == SetFamilyInstance(row.n, row.k, row.t).ak_maximum for row in rows
+    )
     return {
         "instances": len(rows),
         "verified": verified,
@@ -745,7 +714,10 @@ def summarize_ekr_rows(rows: list[SweepRow]) -> dict:
 
 
 def _config_dict(config: RunConfig) -> dict:
+    """The run settings a report records; output locations are left out,
+    so identical runs give identical bytes wherever they write."""
     data = asdict(config)
+    del data["out_path"], data["cache_path"]
     data["relation"] = Relation(config.relation).value
     data["engine_version"] = ENGINE_VERSION
     return data

@@ -16,7 +16,17 @@ encodings are the reference semantics they are tested against.
 
 from __future__ import annotations
 
+from enum import Enum
+
 from .partitions import Partition
+
+
+class Relation(str, Enum):
+    """Which notion of sharing defines an intersecting family."""
+
+    MULTISET = "multiset"  # shared parts counted with multiplicity
+    PROPER = "proper"      # shared distinct part values
+
 
 IndexedPartSet = frozenset[tuple[int, int]]
 DistinctPartSet = frozenset[int]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from .intersect import Relation
 from .partitions import (
     DEFAULT_MAX_VERTICES,
     Partition,
@@ -35,6 +36,20 @@ def _as_part_spec(required_parts: Iterable[int]) -> PartSpec:
     return spec
 
 
+def star_ids(members: list[Partition], relation: Relation | str, t: int) -> list[int]:
+    """Positions in ``members`` of the level-t star under ``relation``.
+
+    Multiset: the members whose first t parts are all 1.  Proper: the
+    members containing every value 1..t.  t = 0 keeps every member.
+    """
+    if Relation(relation) is Relation.MULTISET:
+        return [
+            i for i, p in enumerate(members) if p.k >= t and (t == 0 or p.parts[t - 1] == 1)
+        ]
+    required = set(range(1, t + 1))
+    return [i for i, p in enumerate(members) if required.issubset(p.parts)]
+
+
 def star_t(
     n: int, k: int, t: int, *, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> list[Partition]:
@@ -45,11 +60,7 @@ def star_t(
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     members = enumerate_partitions(n, k, max_vertices=max_vertices)
-    if t == 0:
-        return members
-    if t > k:
-        return []
-    return [p for p in members if p.parts[t - 1] == 1]
+    return [members[i] for i in star_ids(members, Relation.MULTISET, t)]
 
 
 def fixed_set_family(
@@ -81,9 +92,7 @@ def star_all_lengths(
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     members = enumerate_all(n, max_vertices=max_vertices)
-    if t == 0:
-        return members
-    return [p for p in members if p.k >= t and p.parts[t - 1] == 1]
+    return [members[i] for i in star_ids(members, Relation.MULTISET, t)]
 
 
 def strip_required_parts(p: Partition, required_parts: Iterable[int]) -> Partition:

@@ -173,6 +173,23 @@ class TestVerify:
         main(argv)
         assert out.read_bytes() == first
 
+    def test_report_bytes_do_not_depend_on_output_paths(self, tmp_path):
+        reports = []
+        for name in ("a", "a-longer-name"):
+            out = tmp_path / f"{name}.json"
+            main(
+                [
+                    "verify", "strong",
+                    "--n-max", "9",
+                    "--deterministic",
+                    "--format", "json",
+                    "--out", str(out),
+                    "--cache", str(tmp_path / f"{name}.jsonl"),
+                ]
+            )
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestLemmasAndSetSystems:
     def test_lemma_suites_pass(self, capsys):

@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from math import comb
 
 import networkx as nx
 import pytest
@@ -25,6 +26,7 @@ from partint import (
     max_family_set_system,
     multiset_common_count,
     t_intersects,
+    witness_digest,
 )
 
 
@@ -51,6 +53,37 @@ def oracle_max_clique(members, relation, t):
         elif len(clique) == best:
             best_sets.append(sorted(clique))
     return best, best_sets
+
+
+def reference_permute(adjacency, allowed):
+    """``cliques._permute`` one bit at a time, through an id -> position map."""
+    ids = [v for v in range(len(adjacency)) if (allowed >> v) & 1]
+    ids.sort(key=lambda v: (-(adjacency[v] & allowed).bit_count(), v))
+    where = {v: i for i, v in enumerate(ids)}
+    perm_adj = [0] * len(ids)
+    for v in ids:
+        for u in range(len(adjacency)):
+            if (adjacency[v] & allowed) >> u & 1:
+                perm_adj[where[v]] |= 1 << where[u]
+    return perm_adj, ids
+
+
+# cross_validate_ekr's default grid: t <= 2, t <= r <= 4, r <= n <= 12
+EKR_GRID = [
+    (n, r, t) for t in (1, 2) for r in range(t, 5) for n in range(r, 13)
+]
+
+
+def set_system_graph(n, r, t):
+    """Adjacency and t-star of the r-subsets of {1..n}, in combinations order."""
+    members = [set(m) for m in combinations(range(1, n + 1), r)]
+    adjacency = [0] * len(members)
+    for u, v in combinations(range(len(members)), 2):
+        if len(members[u] & members[v]) >= t:
+            adjacency[u] |= 1 << v
+            adjacency[v] |= 1 << u
+    star = [i for i, m in enumerate(members) if set(range(1, t + 1)) <= m]
+    return adjacency, star
 
 
 class TestGraphConstruction:
@@ -184,6 +217,36 @@ class TestEngineAgainstOracles:
         second = max_family(graph)
         assert first.max_size == second.max_size
         assert first.witness == second.witness
+
+
+class TestPermute:
+    def test_matches_bit_by_bit_reference(self):
+        rng = random.Random(83)
+        for _ in range(200):
+            n_vertices = rng.randint(1, 40)
+            density = rng.uniform(0.0, 1.0)
+            adjacency = [0] * n_vertices
+            for u, v in combinations(range(n_vertices), 2):
+                if rng.random() < density:
+                    adjacency[u] |= 1 << v
+                    adjacency[v] |= 1 << u
+            # arbitrary, usually non-contiguous masks, and one vertex alone
+            for allowed in (
+                rng.getrandbits(n_vertices),
+                (1 << n_vertices) - 1,
+                1 << rng.randrange(n_vertices),
+            ):
+                assert cliques._permute(adjacency, allowed) == reference_permute(
+                    adjacency, allowed
+                )
+
+    def test_empty_rows_and_empty_mask(self):
+        # vertices 1 and 2 have no neighbours; vertices 0 and 3 are adjacent
+        adjacency = [0b1000, 0, 0, 0b0001]
+        for allowed in (0b1111, 0b1010, 0b0010, 0b1001, 0b0110, 0):
+            assert cliques._permute(adjacency, allowed) == reference_permute(
+                adjacency, allowed
+            )
 
 
 class TestKnownInstances:
@@ -388,3 +451,56 @@ class TestSetSystems:
         members = list(combinations(range(1, 9), 3))
         fam = [set(members[v]) for v in out.witness]
         assert all(a & b for a, b in combinations(fam, 2))
+
+    def test_anchored_search_matches_unrestricted_search(self, ekr_sweep):
+        # Compared through the rows of cross_validate_ekr, which runs
+        # max_family_set_system on this grid anyway.  The unrestricted
+        # search takes 1.67M nodes (about 50 s) at (9,4,1) and 58k
+        # (about 3 s) at (10,4,1); there the maximum over all vertices
+        # comes from the Ahlswede-Khachatrian theorem, and the lex-min
+        # extraction alone runs over all vertices.
+        costly = {(9, 4, 1), (10, 4, 1)}
+        rows = {(row.n, row.k, row.t): row for row in ekr_sweep.rows}
+        for n, r, t in EKR_GRID:
+            if comb(n, r) > 220:
+                continue
+            adjacency, star = set_system_graph(n, r, t)
+            everything = (1 << len(adjacency)) - 1
+            if (n, r, t) in costly:
+                search = cliques._CliqueSearch(adjacency, 10**6, 60.0)
+                size = SetFamilyInstance(n, r, t).ak_maximum
+                witness = cliques._lex_min_witness(adjacency, everything, size, search)
+            else:
+                full = cliques._solve(
+                    adjacency,
+                    everything,
+                    star,
+                    lambda ids: None,
+                    node_budget=cliques.DEFAULT_NODE_BUDGET,
+                    time_budget_secs=cliques.DEFAULT_TIME_BUDGET_SECS,
+                    deterministic=True,
+                )
+                size, witness = full.max_size, full.witness
+            members = list(combinations(range(1, n + 1), r))
+            digest = witness_digest(".".join(map(str, members[v])) for v in witness)
+            row = rows[(n, r, t)]
+            assert (row.max_size, row.witness_digest) == (size, digest), (n, r, t)
+
+    def test_star_lies_in_closed_neighbourhood_of_vertex_zero(self):
+        for n, r, t in EKR_GRID:
+            adjacency, star = set_system_graph(n, r, t)
+            anchored = 1 | adjacency[0]
+            assert all((anchored >> v) & 1 for v in star), (n, r, t)
+
+    def test_anchored_search_node_count(self):
+        out = max_family_set_system(SetFamilyInstance(10, 4, 1))
+        assert out.max_size == 84
+        assert out.nodes_explored <= 10_000
+
+    def test_ak_maximum_known_values(self):
+        # above the threshold the star; below it the larger AK families
+        assert SetFamilyInstance(8, 3, 1).ak_maximum == 21
+        assert SetFamilyInstance(9, 4, 1).ak_maximum == 56
+        assert SetFamilyInstance(5, 3, 1).ak_maximum == 10
+        assert SetFamilyInstance(8, 4, 2).ak_maximum == 17  # star 15
+        assert SetFamilyInstance(4, 4, 1).ak_maximum == 1

@@ -21,6 +21,7 @@ from partint.harness import (
     run_lemma_suites,
     solve_instance,
     suite_report_to_json,
+    summarize_ekr_rows,
     summarize_rows,
     verify_strong_form,
     verify_weak_form,
@@ -208,6 +209,20 @@ class TestSweeps:
             "verified": 1,
             "refuted": 1,
             "inconclusive": 1,
+        }
+
+    def test_ekr_summary_checks_the_exact_maximum(self):
+        # (8,4,2) is below the threshold: star 15, Ahlswede-Khachatrian 17
+        sets = dict(n=8, k=4, t=2, relation="sets", star_size=15, unique="not_computed")
+        rows = [
+            make_row(**sets, max_size=17, star_is_maximum=False),
+            make_row(**sets, max_size=16, star_is_maximum=False),
+        ]
+        assert summarize_ekr_rows(rows) == {
+            "instances": 2,
+            "verified": 1,
+            "refuted": 1,
+            "inconclusive": 0,
         }
 
 
