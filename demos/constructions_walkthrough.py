@@ -32,7 +32,7 @@ def padding_demo() -> None:
 def fibre_demo() -> None:
     print("fibre family: p(n, k) > c * p(n, k-1) once n >= c * k^3")
     report = lemma2_family(27, 3, 1)
-    print(f"  (n, k, c) = (27, 3, 1), mode = {report.mode}")
+    print("  (n, k, c) = (27, 3, 1)")
     print(f"  |F| = {report.family_size} = ck^2 * p(27, 2) = {report.expected_size}")
     print(f"  fibres have at most k-1 = {report.k - 1} members each")
     print(f"  p(27, 3) = {report.count_k} > {report.c} * p(27, 2) = {report.c * report.count_k_minus_1}")

@@ -8,6 +8,15 @@ distinct parts, cannot t-intersect anything, itself included).  Such
 ineligible vertices are excluded up front, so the maximum family size
 is the clique number of the graph restricted to eligible vertices.
 
+Adjacency comes from a token index, never from testing pairs.  Each
+vertex is a set of tokens (its (part, occurrence-index) encoding under
+the multiset relation, its distinct parts under the proper one, its
+elements for a set system), and two vertices are adjacent when they
+share at least t tokens.  The vertices holding each token form one
+bitmask, and for each vertex bit-sliced "at least j shared" counters
+over the masks of its tokens give its neighbours in O(tokens * t)
+big-int operations.
+
 The engine is a Tomita-style maximum-clique search: vertices renumbered
 by descending eligible degree, adjacency kept as arbitrary-precision
 int bitsets, candidate sets bounded by greedy sequential colouring, and
@@ -37,6 +46,8 @@ from operator import itemgetter
 from .intersect import (
     Relation,
     distinct_common_count,
+    distinct_parts,
+    indexed_part_set,
     multiset_common_count,
 )
 from .partitions import (
@@ -136,25 +147,18 @@ def build_graph(
     if n > max_vertices:
         raise ResourceGuardError(f"{n} vertices exceed the cap {max_vertices}")
 
-    common = (
-        multiset_common_count if relation is Relation.MULTISET else distinct_common_count
-    )
-    tuples = [p.parts for p in partitions]
-
-    eligible = 0
     if t == 0:
-        eligible = (1 << n) - 1 if n else 0
+        full = (1 << n) - 1
+        adjacency = [full & ~(1 << v) for v in range(n)]
+        eligible = full
     else:
-        for v, parts in enumerate(tuples):
-            if common(parts, parts, stop_at=t) >= t:
+        encode = indexed_part_set if relation is Relation.MULTISET else distinct_parts
+        token_lists = [encode(p) for p in partitions]
+        adjacency = _shared_token_adjacency(token_lists, t)
+        eligible = 0
+        for v, tokens in enumerate(token_lists):
+            if len(tokens) >= t:
                 eligible |= 1 << v
-
-    if t == 0:
-        adjacency = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
-    elif t == 1:
-        adjacency = _part_value_adjacency(tuples)
-    else:
-        adjacency = _pairwise_adjacency(tuples, eligible, common, t)
     return IntersectionGraph(
         partitions=list(partitions),
         relation=relation,
@@ -164,43 +168,31 @@ def build_graph(
     )
 
 
-def _part_value_adjacency(tuples: list[tuple[int, ...]]) -> list[int]:
-    """Level-1 adjacency under either relation, from an index by part value.
+def _shared_token_adjacency(token_lists: list, t: int) -> list[int]:
+    """Adjacency of vertices that share at least ``t`` >= 1 tokens.
 
-    Two partitions share a part, counted with multiplicity or not,
-    exactly when they share a part value, so a vertex's neighbours are
-    the union of the vertices holding each of its values.  A partition
-    with no parts holds no value and stays isolated.
+    Each vertex is a set of hashable tokens.  ``holders[token]`` masks
+    the vertices holding it.  For each vertex, bit-sliced counters
+    ``at_least[j]`` mask the vertices met in at least j of its tokens so
+    far; each token's holders raise them, highest level first so that a
+    vertex is counted once per token.  ``at_least[t]`` minus the vertex
+    itself is its neighbourhood.  A vertex with fewer than t tokens
+    shares t with nothing and stays isolated.
     """
-    holders: dict[int, int] = {}
-    for v, parts in enumerate(tuples):
-        for value in set(parts):
-            holders[value] = holders.get(value, 0) | (1 << v)
+    holders: dict = {}
+    for v, tokens in enumerate(token_lists):
+        bit = 1 << v
+        for token in tokens:
+            holders[token] = holders.get(token, 0) | bit
     adjacency = []
-    for v, parts in enumerate(tuples):
-        mask = 0
-        for value in set(parts):
-            mask |= holders[value]
-        adjacency.append(mask & ~(1 << v))
-    return adjacency
-
-
-def _pairwise_adjacency(
-    tuples: list[tuple[int, ...]], eligible: int, common, t: int
-) -> list[int]:
-    """Adjacency by testing ``common`` on every pair of eligible vertices."""
-    n = len(tuples)
-    adjacency = [0] * n
-    for u in range(n):
-        if not (eligible >> u) & 1:
-            continue
-        pu = tuples[u]
-        for v in range(u + 1, n):
-            if not (eligible >> v) & 1:
-                continue
-            if common(pu, tuples[v], stop_at=t) >= t:
-                adjacency[u] |= 1 << v
-                adjacency[v] |= 1 << u
+    for v, tokens in enumerate(token_lists):
+        at_least = [0] * (t + 1)  # at_least[0] is unused
+        for token in tokens:
+            mask = holders[token]
+            for j in range(t, 1, -1):
+                at_least[j] |= at_least[j - 1] & mask
+            at_least[1] |= mask
+        adjacency.append(at_least[t] & ~(1 << v))
     return adjacency
 
 
@@ -441,13 +433,16 @@ def _solve(
 ) -> SearchOutcome:
     """Engine entry shared by the partition and set-system frontends.
 
-    ``validate`` rechecks the final witness against the frontend's own
-    relation and raises if it is not a valid family.
+    ``validate`` checks a family against the frontend's own relation and
+    raises if it is not valid.  It runs on the seed before the search and
+    on the final witness unless that is the seed itself, so every
+    returned family is checked once.
     """
     start = time.perf_counter()
     star_size = None if star_ids is None else len(star_ids)
 
     if star_ids:
+        validate(star_ids)
         star_mask = 0
         for v in star_ids:
             star_mask |= 1 << v
@@ -492,7 +487,8 @@ def _solve(
             elapsed=time.perf_counter() - start,
         ) from None
 
-    validate(witness)
+    if not star_ids or witness != sorted(star_ids):
+        validate(witness)
     if len(witness) != size:
         raise RuntimeError("witness size disagrees with certified maximum")
     return SearchOutcome(
@@ -517,18 +513,16 @@ def max_family(
     """Exact maximum (properly) t-intersecting family in ``graph``.
 
     ``star`` optionally seeds the incumbent with a known family (vertex
-    ids); it must itself be a valid family.  The returned witness is
-    rechecked against the relation, and with deterministic=True it is
-    the lexicographically smallest maximum family.
+    ids); it must itself be a valid family.  The seed and the returned
+    witness are checked against the relation itself, and with
+    deterministic=True the witness is the lexicographically smallest
+    maximum family.
     """
-    validate = partial(_validate_family, graph.partitions, graph.relation, graph.t)
-    if star:
-        validate(star)
     return _solve(
         graph.adjacency,
         graph.eligible,
         star,
-        validate,
+        partial(_validate_family, graph.partitions, graph.relation, graph.t),
         node_budget=node_budget,
         time_budget_secs=time_budget_secs,
         deterministic=deterministic,
@@ -657,7 +651,9 @@ def max_family_set_system(
     """Exact maximum t-intersecting family of r-subsets of {1..n}.
 
     Vertices are itertools.combinations order (lexicographic); the
-    witness ids index into that order.  Seeded with the t-star.
+    witness ids index into that order.  Members are adjacent when they
+    share at least t elements, read off the token index over elements.
+    Seeded with the t-star.
 
     The search runs over vertex 0 = {1..r} and its neighbours only:
 
@@ -676,22 +672,15 @@ def max_family_set_system(
     if n_vertices > max_vertices:
         raise ResourceGuardError(f"C({n}, {r}) = {n_vertices} exceeds the cap {max_vertices}")
     members = list(combinations(range(1, n + 1), r))
-    masks = [sum(1 << e for e in member) for member in members]
-    adjacency = [0] * n_vertices
-    for u in range(n_vertices):
-        mu = masks[u]
-        for v in range(u + 1, n_vertices):
-            if (mu & masks[v]).bit_count() >= t:
-                adjacency[u] |= 1 << v
-                adjacency[v] |= 1 << u
+    adjacency = _shared_token_adjacency(members, t)
     allowed = 1 | adjacency[0]
     prefix = set(range(1, t + 1))
     star = [i for i, member in enumerate(members) if prefix.issubset(member)]
 
     def validate(ids: list[int]) -> None:
-        for a, b in combinations(ids, 2):
-            if (masks[a] & masks[b]).bit_count() < t:
-                raise RuntimeError("set-system witness fails the intersection recheck")
+        for a, b in combinations([set(members[v]) for v in ids], 2):
+            if len(a & b) < t:
+                raise RuntimeError("set-system family fails the intersection recheck")
 
     return _solve(
         adjacency,

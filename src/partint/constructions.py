@@ -23,7 +23,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .intersect import multiset_common_count, t_intersects
-from .partitions import Partition, count_partitions, enumerate_partitions
+from .partitions import (
+    Partition,
+    ResourceGuardError,
+    count_partitions,
+    enumerate_partitions,
+)
 
 
 class ConstructionError(RuntimeError):
@@ -107,7 +112,6 @@ class Lemma2Report:
     n: int
     k: int
     c: int
-    mode: str                   # "full", "boundary", or "counts_only"
     family_size: int
     expected_size: int          # ck^2 * p(n, k-1)
     count_k: int                # p(n, k)
@@ -117,7 +121,7 @@ class Lemma2Report:
     members_partition_n: bool
     fibre_bound_holds: bool     # at most k-1 members per (sorted form, first entry)
     inequality_holds: bool      # p(n, k) > c * p(n, k-1)
-    family: set[tuple[int, ...]] | None  # None unless mode == "full"
+    family: set[tuple[int, ...]]
 
     @property
     def all_assertions_hold(self) -> bool:
@@ -148,22 +152,13 @@ def _fibre_bound_holds(members, k: int) -> bool:
 
 
 def lemma2_family(
-    n: int,
-    k: int,
-    c: int,
-    *,
-    materialize_limit: int = 2_000_000,
-    enumeration_limit: int = 200_000,
+    n: int, k: int, c: int, *, materialize_limit: int = 2_000_000
 ) -> Lemma2Report:
     """Build and verify the fibre family F for n >= ck^3, k >= 3, c >= 1.
 
-    Three modes, chosen by size.  "full" stores F and verifies every
-    assertion exhaustively.  "boundary" (|F| above ``materialize_limit``
-    but P(n, k-1) still enumerable) verifies the boundary pieces i = 1
-    and i = ck^2 member by member and the rest by exact counting.
-    "counts_only" (P(n, k-1) beyond ``enumeration_limit``) verifies the
-    counting facts from the table and the member facts on constructed
-    sample members of each boundary piece.
+    Stores F and verifies every assertion exhaustively.  Raises
+    ResourceGuardError when |F| = ck^2 * p(n, k-1) exceeds
+    ``materialize_limit``.
     """
     if k < 3 or c < 1:
         raise ValueError(f"need k >= 3 and c >= 1, got k={k}, c={c}")
@@ -174,6 +169,10 @@ def lemma2_family(
     count_k = count_partitions(n, k)
     pieces = c * k * k
     expected = pieces * count_k1
+    if expected > materialize_limit:
+        raise ResourceGuardError(
+            f"the fibre family has {expected} members, above the cap {materialize_limit}"
+        )
 
     def lift(a_parts: tuple[int, ...], i: int) -> tuple[int, ...]:
         member = (i,) + a_parts[:-1] + (a_parts[-1] - i,)
@@ -181,73 +180,31 @@ def lemma2_family(
             raise ConstructionError(f"piece {i}: member {member} has a nonpositive entry")
         return member
 
-    def drop(x: tuple[int, ...]) -> Partition:
-        # Inverse of lift: recover the source partition.
-        return Partition(x[1:-1] + (x[-1] + x[0],))
-
-    def member_ok(x: tuple[int, ...]) -> bool:
-        return len(x) == k and sort_tuple(x).n == n
-
-    if expected <= materialize_limit:
-        base = enumerate_partitions(n, k - 1, max_vertices=materialize_limit)
-        mode = "full"
-        family: set[tuple[int, ...]] | None = set()
-        pieces_disjoint = True
-        members_ok = True
-        for i in range(1, pieces + 1):
-            fi = {lift(a.parts, i) for a in base}
-            if len(fi) != count_k1:
-                raise ConstructionError(f"piece {i} has {len(fi)} members, not {count_k1}")
-            if family & fi:
-                pieces_disjoint = False
-            members_ok = members_ok and all(member_ok(x) for x in fi)
-            family |= fi
-        family_size = len(family)
-        fibre_bound = _fibre_bound_holds(family, k)
-    elif count_k1 <= enumeration_limit:
-        base = enumerate_partitions(n, k - 1, max_vertices=enumeration_limit)
-        mode = "boundary"
-        family = None
-        first = {lift(a.parts, 1) for a in base}
-        last = {lift(a.parts, pieces) for a in base}
-        if len(first) != count_k1 or len(last) != count_k1:
-            raise ConstructionError("boundary piece size mismatch")
-        pieces_disjoint = not (first & last)
-        members_ok = all(member_ok(x) for x in first | last)
-        family_size = pieces * count_k1
-        fibre_bound = _fibre_bound_holds(first | last, k)
-    else:
-        # Sample members: the spikiest and the most balanced partition
-        # of n into k-1 parts, lifted into both boundary pieces.
-        mode = "counts_only"
-        family = None
-        q, rem = divmod(n, k - 1)
-        samples = [
-            (1,) * (k - 2) + (n - (k - 2),),
-            (q,) * (k - 1 - rem) + (q + 1,) * rem,
-        ]
-        lifted = [lift(tuple(sorted(a)), i) for a in samples for i in (1, pieces)]
-        members_ok = all(member_ok(x) for x in lifted)
-        if any(drop(x).parts != tuple(sorted(a)) for x, a in
-               zip(lifted, [s for s in samples for _ in (0, 1)])):
-            raise ConstructionError("lift/drop round trip failed on sample members")
-        pieces_disjoint = len({x[0] for x in lifted}) == 2
-        family_size = pieces * count_k1
-        fibre_bound = _fibre_bound_holds(lifted, k)
+    base = enumerate_partitions(n, k - 1, max_vertices=materialize_limit)
+    family: set[tuple[int, ...]] = set()
+    pieces_disjoint = True
+    members_ok = True
+    for i in range(1, pieces + 1):
+        fi = {lift(a.parts, i) for a in base}
+        if len(fi) != count_k1:
+            raise ConstructionError(f"piece {i} has {len(fi)} members, not {count_k1}")
+        if family & fi:
+            pieces_disjoint = False
+        members_ok = members_ok and all(len(x) == k and sort_tuple(x).n == n for x in fi)
+        family |= fi
 
     return Lemma2Report(
-        mode=mode,
         n=n,
         k=k,
         c=c,
-        family_size=family_size,
+        family_size=len(family),
         expected_size=expected,
         count_k=count_k,
         count_k_minus_1=count_k1,
         pieces_disjoint=pieces_disjoint,
-        size_matches=family_size == expected,
+        size_matches=len(family) == expected,
         members_partition_n=members_ok,
-        fibre_bound_holds=fibre_bound,
+        fibre_bound_holds=_fibre_bound_holds(family, k),
         inequality_holds=count_k > c * count_k1,
         family=family,
     )

@@ -9,9 +9,13 @@ symmetric and monotone decreasing in t, and every pair 0-intersects.
 The multiset relation has a useful set encoding: attach an occurrence
 index to each part, so the partition (2, 2, 5) becomes
 {(2, 1), (2, 2), (5, 1)}.  Multiset intersection of two partitions is
-then plain set intersection of their encodings.  The fast predicates
-below walk the sorted parts tuples directly with two pointers; the
-encodings are the reference semantics they are tested against.
+then plain set intersection of their encodings, as proper intersection
+is of the sets of distinct parts.  The encodings build the
+intersection graphs: ``cliques.build_graph`` indexes the partitions by
+the elements of their encodings.  The predicates below walk the sorted
+parts tuples directly with two pointers.  They stay the independent
+recheck of every seed and witness family the engine returns, and the
+two sides are tested against each other.
 """
 
 from __future__ import annotations

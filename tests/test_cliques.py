@@ -7,7 +7,7 @@ from math import comb
 import networkx as nx
 import pytest
 
-from partint import cliques
+from partint import cliques, intersect
 from partint import (
     Partition,
     Relation,
@@ -68,6 +68,25 @@ def reference_permute(adjacency, allowed):
     return perm_adj, ids
 
 
+def pairwise_reference(members, relation, levels):
+    """Adjacency of every level in ``levels``, one two-pointer count per pair.
+
+    ``t_intersects`` and ``properly_t_intersects`` compare these counts
+    with t, so one count capped at max(levels) decides every level.
+    """
+    common = common_fn(relation)
+    top = max(levels)
+    parts = [p.parts for p in members]
+    shared = [[0] * len(parts) for _ in parts]
+    for u, (a, row) in enumerate(zip(parts, shared)):
+        for v in range(u + 1, len(parts)):
+            row[v] = shared[v][u] = common(a, parts[v], stop_at=top)
+    return {
+        t: [int("".join("1" if c >= t else "0" for c in reversed(row)), 2) for row in shared]
+        for t in levels
+    }
+
+
 # cross_validate_ekr's default grid: t <= 2, t <= r <= 4, r <= n <= 12
 EKR_GRID = [
     (n, r, t) for t in (1, 2) for r in range(t, 5) for n in range(r, 13)
@@ -113,17 +132,45 @@ class TestGraphConstruction:
                     )
                     assert bit == int(edge), (n, k, t, relation, u, v)
 
-    def test_level_one_value_index_matches_pairwise(self):
-        grid = [(n, k) for n in range(1, 23) for k in range(1, n + 1)]
-        for n, k in grid + [(40, 5), (36, 6), (30, 8)]:
+    def test_token_index_matches_pairwise(self):
+        grid = [(n, k, (1, 2, 3, 4)) for n in range(1, 23) for k in range(1, n + 1)]
+        large = [(n, k, (1, 2)) for n, k in [(40, 5), (36, 6), (30, 8), (34, 7)]]
+        for n, k, levels in grid + large:
             members = enumerate_partitions(n, k)
-            tuples = [p.parts for p in members]
             for relation in ("multiset", "proper"):
-                graph = build_graph(members, relation, 1)
-                pairwise = cliques._pairwise_adjacency(
-                    tuples, graph.eligible, common_fn(relation), 1
-                )
-                assert graph.adjacency == pairwise, (n, k, relation)
+                reference = pairwise_reference(members, relation, levels)
+                common = common_fn(relation)
+                for t in levels:
+                    graph = build_graph(members, relation, t)
+                    assert graph.adjacency == reference[t], (n, k, relation, t)
+                    eligible = sum(
+                        1 << v
+                        for v, p in enumerate(members)
+                        if common(p.parts, p.parts, stop_at=t) >= t
+                    )
+                    assert graph.eligible == eligible, (n, k, relation, t)
+
+    def test_build_makes_no_pairwise_calls(self, monkeypatch):
+        # proper (34,7,2) made about 690k counter calls when every pair
+        # was tested; the token index makes none.
+        calls = 0
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                nonlocal calls
+                calls += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("multiset_common_count", "distinct_common_count"):
+            spy = counting(getattr(intersect, name))
+            for module in (intersect, cliques):
+                monkeypatch.setattr(module, name, spy)
+        members = enumerate_partitions(34, 7)
+        graph = build_graph(members, "proper", 2)
+        assert graph.n_vertices == 1175
+        assert calls <= graph.n_vertices
 
     def test_level_zero_is_complete(self):
         members = enumerate_partitions(9, 3)
@@ -377,6 +424,26 @@ class TestSeedValidationAndBudgets:
         with pytest.raises(RuntimeError):
             max_family(graph, star=[0, 3])
 
+    def test_each_family_validated_once(self, monkeypatch):
+        checked = []
+        original = cliques._validate_family
+
+        def spy(partitions, relation, t, ids):
+            checked.append(list(ids))
+            original(partitions, relation, t, ids)
+
+        monkeypatch.setattr(cliques, "_validate_family", spy)
+        for n in (10, 8):
+            members = enumerate_partitions(n, 3)
+            graph = build_graph(members, "multiset", 1)
+            star = [i for i, p in enumerate(members) if p.parts[0] == 1]
+            checked.clear()
+            out = max_family(graph, star=star)
+            if n == 10:  # the star is the lex-min maximum: checked once
+                assert out.witness == star and checked == [star]
+            else:  # the star is beaten: seed and witness each checked
+                assert out.witness != star and checked == [star, out.witness]
+
     def test_node_budget_exhaustion_carries_bounds(self):
         members = enumerate_partitions(12, 4)
         graph = build_graph(members, "multiset", 1)
@@ -440,6 +507,28 @@ class TestSetSystems:
             expected = max(len(c) for c in nx.find_cliques(graph))
             assert out.max_size == expected, (n, r, t)
 
+    def test_seed_and_witness_validated(self, monkeypatch):
+        checked = []
+        original = cliques._solve
+
+        def spy(adjacency, allowed, star_ids, validate, **kwargs):
+            def recording(ids):
+                checked.append(list(ids))
+                validate(ids)
+
+            return original(adjacency, allowed, star_ids, recording, **kwargs)
+
+        monkeypatch.setattr(cliques, "_solve", spy)
+        # (8,3,1): the star is the lex-min maximum, checked once
+        out = max_family_set_system(SetFamilyInstance(8, 3, 1))
+        star = list(range(21))  # the 3-subsets containing 1 come first
+        assert out.witness == star and checked == [star]
+        # (5,3,1): all ten 3-subsets beat the star of the first six
+        checked.clear()
+        out = max_family_set_system(SetFamilyInstance(5, 3, 1))
+        assert out.witness == list(range(10))
+        assert checked == [list(range(6)), out.witness]
+
     def test_trivially_intersecting_range_takes_everything(self):
         # any two 3-subsets of {1..5} share at least one element
         out = max_family_set_system(SetFamilyInstance(5, 3, 1))
@@ -485,6 +574,21 @@ class TestSetSystems:
             digest = witness_digest(".".join(map(str, members[v])) for v in witness)
             row = rows[(n, r, t)]
             assert (row.max_size, row.witness_digest) == (size, digest), (n, r, t)
+
+    def test_adjacency_matches_pairwise(self, monkeypatch):
+        # The graph max_family_set_system hands to the engine, caught
+        # before any search runs.
+        class Built(Exception):
+            pass
+
+        def capture(adjacency, *args, **kwargs):
+            raise Built(adjacency)
+
+        monkeypatch.setattr(cliques, "_solve", capture)
+        for n, r, t in EKR_GRID:
+            with pytest.raises(Built) as built:
+                max_family_set_system(SetFamilyInstance(n, r, t))
+            assert built.value.args[0] == set_system_graph(n, r, t)[0], (n, r, t)
 
     def test_star_lies_in_closed_neighbourhood_of_vertex_zero(self):
         for n, r, t in EKR_GRID:

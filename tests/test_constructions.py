@@ -9,6 +9,7 @@ from partint import (
     ConstructionError,
     NotTIntersectingError,
     Partition,
+    ResourceGuardError,
     TriviallyTIntersectingError,
     count_partitions,
     enumerate_partitions,
@@ -93,8 +94,6 @@ class TestStrictnessWitness:
 class TestFibreFamilies:
     def test_full_mode_all_assertions(self):
         report = lemma2_family(27, 3, 1)
-        assert report.mode == "full"
-        assert report.family is not None
         assert report.family_size == len(report.family) == report.expected_size
         assert report.expected_size == 9 * count_partitions(27, 2)
         assert report.all_assertions_hold
@@ -107,16 +106,11 @@ class TestFibreFamilies:
         assert report.count_k > report.c * report.count_k_minus_1
         assert report.inequality_holds
 
-    def test_boundary_mode(self):
-        report = lemma2_family(27, 3, 1, materialize_limit=50)
-        assert report.mode == "boundary"
-        assert report.family is None
-        assert report.all_assertions_hold
-
-    def test_counts_only_mode(self):
-        report = lemma2_family(27, 3, 1, materialize_limit=50, enumeration_limit=5)
-        assert report.mode == "counts_only"
-        assert report.all_assertions_hold
+    def test_materialize_limit_guard(self):
+        # |F| = 9 * p(27, 2) = 117 members
+        with pytest.raises(ResourceGuardError):
+            lemma2_family(27, 3, 1, materialize_limit=116)
+        assert lemma2_family(27, 3, 1, materialize_limit=117).family_size == 117
 
     def test_k4_instance(self):
         report = lemma2_family(64, 4, 1)
