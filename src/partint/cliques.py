@@ -28,7 +28,23 @@ inexact answer.  With deterministic=True the reported witness is the
 lexicographically smallest maximum clique in vertex order: once the size
 is certified, one colour-bounded depth-first search over the original
 ids, trying vertices in ascending order, stops at the first clique of
-that size.
+that size.  Before it branches it tries to complete greedily, lowest
+candidate first, which on a star made of the lowest ids finishes in one
+pass.
+
+Certificates.  A greedy colouring splits the vertices into independent
+classes, and a clique takes at most one vertex per class, so a colouring
+with as many classes as the seed has members proves the seed maximum.
+Before any search the allowed vertices are coloured in id order, and
+only when that is not tight are they renumbered by degree and coloured
+again; when either colouring is tight the search is skipped.  The
+classes are returned in ``SearchOutcome.colour_classes``, and
+``check_colour_certificate`` verifies them against the relation itself.
+``check_uniqueness`` reuses such a colouring: a maximum clique meets
+every class, so only vertices adjacent to every class other than their
+own can join one.  Seeds and witnesses are validated through their
+common core: parts every member holds, whose size bounds every pairwise
+intersection from below.
 """
 
 from __future__ import annotations
@@ -49,6 +65,8 @@ from .intersect import (
     distinct_parts,
     indexed_part_set,
     multiset_common_count,
+    properly_t_intersects,
+    t_intersects,
 )
 from .partitions import (
     DEFAULT_MAX_VERTICES,
@@ -206,7 +224,12 @@ class SearchOutcome:
     star_is_maximum: bool | None        # None when no seed was given
     nodes_explored: int
     elapsed: float
-    upper_bound_at_root: int            # colour bound over the searched vertices; >= max_size
+    # Colour bound over the searched vertices, >= max_size.  When a
+    # colouring closes the instance it is that certificate's class count.
+    upper_bound_at_root: int
+    # The classes, in original ids, of a colouring of the searched
+    # vertices with exactly max_size classes, when one was found.
+    colour_classes: list[list[int]] | None = None
 
     @property
     def witness_size(self) -> int:
@@ -268,10 +291,6 @@ class _CliqueSearch:
                 remaining ^= bit
                 avail = (avail ^ bit) & ~adj[v]
         return order, bounds
-
-    def root_bound(self, candidates: int) -> int:
-        _, bounds = self._colour_sort(candidates)
-        return bounds[-1] if bounds else 0
 
     # -- search -------------------------------------------------------
 
@@ -350,14 +369,55 @@ def _permute(adjacency: list[int], allowed: int) -> tuple[list[int], list[int]]:
     return perm_adj, ids
 
 
+def _shared_parts(a: tuple[int, ...], b: tuple[int, ...], distinct: bool) -> tuple[int, ...]:
+    """Parts two sorted tuples share: with multiplicity, or distinct values once.
+
+    Walks both tuples with two pointers, as ``multiset_common_count`` and
+    ``distinct_common_count`` do, and keeps the common parts they count.
+    """
+    shared: list[int] = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        x, y = a[i], b[j]
+        if x == y:
+            shared.append(x)
+            i += 1
+            j += 1
+            if distinct:
+                while i < la and a[i] == x:
+                    i += 1
+                while j < lb and b[j] == x:
+                    j += 1
+        elif x < y:
+            i += 1
+        else:
+            j += 1
+    return tuple(shared)
+
+
 def _validate_family(
     partitions: list[Partition], relation: Relation, t: int, ids: list[int]
 ) -> None:
-    """Recheck a witness against the relation itself, not the adjacency bits."""
-    common = (
-        multiset_common_count if relation is Relation.MULTISET else distinct_common_count
-    )
+    """Recheck a family against the relation itself, not the adjacency bits.
+
+    First the members are folded into their common core: the parts all
+    of them share, with min multiplicity under the multiset relation and
+    as distinct values under the proper one.  Every member contains the
+    core, so any two members (and each member with itself) share at
+    least its size; a core of t or more parts proves the family valid.
+    Otherwise every member and every pair is counted directly.
+    """
+    distinct = relation is Relation.PROPER
     members = [partitions[v].parts for v in ids]
+    core = members[0] if members else ()
+    for parts in members:
+        core = _shared_parts(core, parts, distinct)
+        if len(core) < t:
+            break
+    else:
+        return
+    common = distinct_common_count if distinct else multiset_common_count
     for parts in members:
         if common(parts, parts, stop_at=t) < t:
             raise RuntimeError(f"witness member {parts} cannot {t}-intersect itself")
@@ -366,21 +426,73 @@ def _validate_family(
             raise RuntimeError(f"witness members {pa} and {pb} do not {t}-intersect")
 
 
-def _colour_count(adjacency: list[int], candidates: int, stop: int) -> int:
-    """Greedy colour classes of ``candidates``, counted no further than ``stop``.
+def _colour_classes(adjacency: list[int], candidates: int, stop: int) -> list[int]:
+    """Greedy colour classes of ``candidates`` in id order, at most ``stop`` of them.
 
-    Colours the same way as ``_CliqueSearch._colour_sort``, so the full
-    count bounds the clique number of the candidate subgraph.
+    Each class takes the lowest uncoloured vertex, then every higher one
+    not adjacent to the class so far, as ``_CliqueSearch._colour_sort``
+    does.  Returns the class masks; fewer than ``stop`` classes cover all
+    of ``candidates``, and then their count bounds its clique number.
     """
-    colours = 0
-    while candidates and colours < stop:
-        colours += 1
+    classes: list[int] = []
+    while candidates and len(classes) < stop:
+        members = 0
         avail = candidates
         while avail:
             bit = avail & -avail
-            candidates ^= bit
+            members |= bit
             avail = (avail ^ bit) & ~adjacency[bit.bit_length() - 1]
-    return colours
+        candidates ^= members
+        classes.append(members)
+    return classes
+
+
+def _bit_ids(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
+    ids = []
+    while mask:
+        bit = mask & -mask
+        ids.append(bit.bit_length() - 1)
+        mask ^= bit
+    return ids
+
+
+def _root_colouring(
+    adjacency: list[int], allowed: int, size: int
+) -> tuple[list[int], list[int] | None, list[int] | None]:
+    """A greedy colouring of ``allowed`` that may certify a clique of ``size``.
+
+    Colours in id order first, counting no further than size + 1
+    classes.  With exactly ``size`` classes that colouring is returned,
+    with no renumbering.  Otherwise the vertices are renumbered by
+    descending degree (``_permute``) and coloured in full, as the search
+    colours its root.  Returns (classes, perm_adj, ids): the class masks,
+    and for the degree order the renumbered adjacency and the
+    position -> original id list the masks refer to (else None, None).
+    """
+    classes = _colour_classes(adjacency, allowed, size + 1)
+    if len(classes) == size:
+        return classes, None, None
+    perm_adj, ids = _permute(adjacency, allowed)
+    return _colour_classes(perm_adj, (1 << len(ids)) - 1, len(ids)), perm_adj, ids
+
+
+def _class_ids(classes: list[int], ids: list[int] | None) -> list[list[int]]:
+    """Colour class masks as ascending original ids, through ``ids`` if renumbered."""
+    if ids is None:
+        return [_bit_ids(c) for c in classes]
+    return [sorted(ids[i] for i in _bit_ids(c)) for c in classes]
+
+
+def _greedy_completion(adjacency: list[int], pool: int, need: int) -> list[int] | None:
+    """The first ``need`` vertices of the lowest-first greedy clique in ``pool``, if any."""
+    path: list[int] = []
+    while pool and len(path) < need:
+        bit = pool & -pool
+        v = bit.bit_length() - 1
+        path.append(v)
+        pool = (pool ^ bit) & adjacency[v]
+    return path if len(path) == need else None
 
 
 def _lex_min_witness(
@@ -395,9 +507,32 @@ def _lex_min_witness(
     falls short of ``size`` cannot complete such a clique and is pruned,
     so the first clique of ``size`` reached is the answer.  Every child
     visited is charged to ``search``'s node and time budgets.
+
+    Greedy completion.  At the root and before each child that is not
+    its node's first, the search first follows the child's lowest-first
+    path: take the lowest candidate, keep its neighbours, repeat.  If
+    that path reaches ``size``, the depth-first search would meet the
+    same clique before any other, along the same path:
+
+    - Its first child at every step is the lowest candidate, the next
+      vertex of the path.
+    - Pruning never cuts the path.  Each step's candidates contain the
+      rest of the path, a clique of the size m still needed, and a
+      greedy colouring of a set holding a clique of size m uses at least
+      m classes, so the count stopped at m reaches m.
+
+    So the path is returned, charged one node per vertex as the search
+    would charge it.  A first child lies on its parent's path, already
+    tried, so it is not tried again.
     """
+    path = _greedy_completion(adjacency, allowed, size)
+    if path is not None:
+        for _ in path:
+            search._charge()
+        return path
     chosen: list[int] = []
     pools = [allowed]  # untried candidates at each depth; len(chosen) + 1 entries
+    first = True  # the top node's next child is its first
     while pools:
         pool = pools[-1]
         depth = len(chosen)
@@ -405,6 +540,7 @@ def _lex_min_witness(
             pools.pop()
             if chosen:
                 chosen.pop()
+            first = False
             continue
         bit = pool & -pool
         v = bit.bit_length() - 1
@@ -415,7 +551,14 @@ def _lex_min_witness(
             return chosen + [v]
         child = pool & adjacency[v]
         need = size - depth - 1
-        if _colour_count(adjacency, child, need) >= need:
+        if not first:
+            path = _greedy_completion(adjacency, child, need)
+            if path is not None:
+                for _ in path:
+                    search._charge()
+                return chosen + [v] + path
+        first = len(_colour_classes(adjacency, child, need)) >= need
+        if first:
             chosen.append(v)
             pools.append(child)
     raise RuntimeError("lex-min extraction lost the clique it certified")
@@ -437,6 +580,10 @@ def _solve(
     raises if it is not valid.  It runs on the seed before the search and
     on the final witness unless that is the seed itself, so every
     returned family is checked once.
+
+    A root colouring with as many classes as the seed certifies the seed
+    maximum, and the branch-and-bound search is skipped; the id-order
+    colouring even skips the renumbering (see ``_root_colouring``).
     """
     start = time.perf_counter()
     star_size = None if star_ids is None else len(star_ids)
@@ -458,36 +605,41 @@ def _solve(
             nodes_explored=0,
             elapsed=time.perf_counter() - start,
             upper_bound_at_root=0,
+            colour_classes=[],
         )
 
-    perm_adj, ids = _permute(adjacency, allowed)
-    where = {v: i for i, v in enumerate(ids)}
-    full = (1 << len(ids)) - 1
-    seed = [where[v] for v in star_ids] if star_ids else []
-
-    # Recursion depth tracks the clique size, which can approach the
-    # vertex count on dense instances.
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), len(ids) + 500))
-    search = _CliqueSearch(perm_adj, node_budget, time_budget_secs)
-    root_bound = search.root_bound(full)
+    seed_ids = sorted(star_ids) if star_ids else []
+    classes, perm_adj, ids = _root_colouring(adjacency, allowed, len(seed_ids))
+    root_bound = len(classes)
+    # Without a renumbering the search object only meters the extraction.
+    search = _CliqueSearch(perm_adj or [], node_budget, time_budget_secs)
+    size, witness = len(seed_ids), seed_ids
     try:
-        size, witness_perm = search.maximum(full, seed)
-        witness = sorted(ids[i] for i in witness_perm)
+        if root_bound > size:
+            # Recursion depth tracks the clique size, which can approach
+            # the vertex count on dense instances.
+            sys.setrecursionlimit(max(sys.getrecursionlimit(), len(ids) + 500))
+            where = {v: i for i, v in enumerate(ids)}
+            size, witness_perm = search.maximum(
+                (1 << len(ids)) - 1, [where[v] for v in seed_ids]
+            )
+            witness = sorted(ids[i] for i in witness_perm)
         if deterministic and size > 0:
             # Lex order is over the original ids, not the permuted ones.
             witness = _lex_min_witness(adjacency, allowed, size, search)
     except _Abort as abort:
-        best = sorted(ids[i] for i in search.best)
+        if search.best_size > size:  # the search had beaten the seed
+            size, witness = search.best_size, sorted(ids[i] for i in search.best)
         raise SearchBudgetExceeded(
             str(abort),
-            lower_bound=search.best_size,
+            lower_bound=size,
             upper_bound=root_bound,
-            witness=best,
+            witness=witness,
             nodes_explored=search.nodes,
             elapsed=time.perf_counter() - start,
         ) from None
 
-    if not star_ids or witness != sorted(star_ids):
+    if not star_ids or witness != seed_ids:
         validate(witness)
     if len(witness) != size:
         raise RuntimeError("witness size disagrees with certified maximum")
@@ -499,6 +651,7 @@ def _solve(
         nodes_explored=search.nodes,
         elapsed=time.perf_counter() - start,
         upper_bound_at_root=root_bound,
+        colour_classes=_class_ids(classes, ids) if root_bound == size else None,
     )
 
 
@@ -529,6 +682,34 @@ def max_family(
     )
 
 
+def check_colour_certificate(
+    graph: IntersectionGraph, classes: list[list[int]], size: int
+) -> bool:
+    """True iff ``classes`` proves that no family in ``graph`` exceeds ``size``.
+
+    A family takes at most one member from each class of pairwise
+    unrelated vertices, so ``size`` such classes covering every eligible
+    vertex bound it by ``size``.  Checks that there are ``size`` classes,
+    that they are disjoint and cover exactly the vertices whose
+    partitions relate to themselves, and that no two members of a class
+    relate.  Every relation is decided by ``t_intersects`` or
+    ``properly_t_intersects``, never by the adjacency bits.
+    """
+    relates = t_intersects if graph.relation is Relation.MULTISET else properly_t_intersects
+    t, partitions = graph.t, graph.partitions
+    if len(classes) != size:
+        return False
+    covered = [v for members in classes for v in members]
+    eligible = {v for v, p in enumerate(partitions) if relates(p, p, t)}
+    if len(covered) != len(set(covered)) or set(covered) != eligible:
+        return False
+    return not any(
+        relates(partitions[u], partitions[v], t)
+        for members in classes
+        for u, v in combinations(members, 2)
+    )
+
+
 def check_uniqueness(
     graph: IntersectionGraph,
     star_ids: list[int],
@@ -543,6 +724,13 @@ def check_uniqueness(
     attains it.  The star is unique exactly when no vertex outside it
     lies in any clique of the maximum size, which one forced-inclusion
     decision search per outside vertex settles.
+
+    A root colouring with max_size classes (see ``_root_colouring``)
+    rules most vertices out first.  A maximum clique takes one vertex
+    from each class, so a vertex in one must lie in each class or have a
+    neighbour in it: only vertices of ``eligible & AND_C (cover(C) | C)``,
+    where cover(C) is the union of the neighbourhoods of C's members,
+    are searched.
     """
     if len(star_ids) != max_size:
         raise ValueError("uniqueness needs the star to attain the maximum")
@@ -552,14 +740,22 @@ def check_uniqueness(
     if max_size == 0:
         return True
     start = time.perf_counter()
-    search = _CliqueSearch(graph.adjacency, node_budget, time_budget_secs)
-    outside = graph.eligible & ~star_mask
+    adjacency, eligible = graph.adjacency, graph.eligible
+    outside = eligible & ~star_mask
+    classes, _, ids = _root_colouring(adjacency, eligible, max_size)
+    if len(classes) == max_size:
+        for members in _class_ids(classes, ids):
+            reach = 0
+            for v in members:
+                reach |= adjacency[v] | (1 << v)
+            outside &= reach
+    search = _CliqueSearch(adjacency, node_budget, time_budget_secs)
     try:
         while outside:
             bit = outside & -outside
             v = bit.bit_length() - 1
             outside ^= bit
-            if search.exists(graph.eligible & graph.adjacency[v], max_size - 1):
+            if search.exists(eligible & adjacency[v], max_size - 1):
                 return False
     except _Abort as abort:
         raise SearchBudgetExceeded(
@@ -678,7 +874,11 @@ def max_family_set_system(
     star = [i for i, member in enumerate(members) if prefix.issubset(member)]
 
     def validate(ids: list[int]) -> None:
-        for a, b in combinations([set(members[v]) for v in ids], 2):
+        # Elements every member holds are shared by every pair.
+        sets = [set(members[v]) for v in ids]
+        if not sets or len(sets[0].intersection(*sets[1:])) >= t:
+            return
+        for a, b in combinations(sets, 2):
             if len(a & b) < t:
                 raise RuntimeError("set-system family fails the intersection recheck")
 

@@ -1,14 +1,19 @@
 """Exact search engine against brute force and networkx oracles."""
 
 import random
+from collections import Counter
 from itertools import combinations
 from math import comb
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from partint import cliques, intersect
 from partint import (
+    IntersectionGraph,
     Partition,
     Relation,
     ResourceGuardError,
@@ -25,9 +30,12 @@ from partint import (
     max_family_all_lengths,
     max_family_set_system,
     multiset_common_count,
+    properly_t_intersects,
     t_intersects,
     witness_digest,
 )
+from partint.cliques import check_colour_certificate
+from partint.stars import star_ids
 
 
 def common_fn(relation):
@@ -474,7 +482,16 @@ class TestSeedValidationAndBudgets:
         star = [i for i, p in enumerate(members) if p.parts[0] == 1]
         out = max_family(graph, star=star)
         assert out.max_size == count_partitions(39, 4)
-        assert out.nodes_explored <= 1000
+        assert out.nodes_explored <= 442
+
+    def test_beaten_star_node_count(self):
+        # the witness differs from the star, so extraction cannot stop
+        # at the first greedy path
+        members = enumerate_partitions(34, 7)
+        graph = build_graph(members, "proper", 2)
+        out = max_family(graph, star=star_ids(members, "proper", 2))
+        assert (out.star_size, out.max_size) == (427, 431)
+        assert out.nodes_explored <= 889
 
     def test_all_lengths_entry_point(self):
         out = max_family_all_lengths(8, 1)
@@ -608,3 +625,394 @@ class TestSetSystems:
         assert SetFamilyInstance(5, 3, 1).ak_maximum == 10
         assert SetFamilyInstance(8, 4, 2).ak_maximum == 17  # star 15
         assert SetFamilyInstance(4, 4, 1).ak_maximum == 1
+
+
+# -- colouring certificates ------------------------------------------------------
+
+
+def reference_lex_min(adjacency, allowed, size, search):
+    """The lex-min extraction without greedy completion: colour bounds only."""
+    chosen = []
+    pools = [allowed]
+    while pools:
+        pool = pools[-1]
+        depth = len(chosen)
+        if depth + pool.bit_count() < size:
+            pools.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        bit = pool & -pool
+        v = bit.bit_length() - 1
+        pool ^= bit
+        pools[-1] = pool
+        search._charge()
+        if depth + 1 == size:
+            return chosen + [v]
+        child = pool & adjacency[v]
+        need = size - depth - 1
+        if len(cliques._colour_classes(adjacency, child, need)) >= need:
+            chosen.append(v)
+            pools.append(child)
+    raise AssertionError("no clique of the given size")
+
+
+def colouring_category(adjacency, eligible, size):
+    """Which root colouring, if any, has exactly ``size`` classes."""
+    classes, _, ids = cliques._root_colouring(adjacency, eligible, size)
+    if ids is None:
+        return "id order"
+    return "degree order" if len(classes) == size else "neither"
+
+
+@st.composite
+def planted_graphs(draw):
+    """(n, edges, ineligible): a random graph of at most 30 vertices with a planted clique.
+
+    Ineligible vertices lose their edges, as in an intersection graph.
+    """
+    n = draw(st.integers(1, 30))
+    pairs = list(combinations(range(n), 2))
+    first, second = (draw(st.integers(0, 2 ** len(pairs) - 1)) for _ in range(2))
+    mix = draw(st.sampled_from(["sparse", "even", "dense"]))
+    bits = {"sparse": first & second, "even": first, "dense": first | second}[mix]
+    edges = {pair for i, pair in enumerate(pairs) if bits >> i & 1}
+    planted = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    edges |= set(combinations(sorted(planted), 2))
+    ineligible = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    edges = {(u, v) for u, v in edges if u not in ineligible and v not in ineligible}
+    return n, frozenset(edges), frozenset(ineligible)
+
+
+def as_graph(n, edges, ineligible):
+    adjacency = [0] * n
+    for u, v in edges:
+        adjacency[u] |= 1 << v
+        adjacency[v] |= 1 << u
+    eligible = sum(1 << v for v in range(n) if v not in ineligible)
+    placeholders = [Partition((v + 1,)) for v in range(n)]
+    return IntersectionGraph(placeholders, Relation.MULTISET, 1, adjacency, eligible)
+
+
+def with_triangle(n, edges):
+    """``edges`` on vertices 0..n-1 plus a triangle on the next three ids."""
+    triangle = set(combinations(range(n, n + 3), 2))
+    return n + 3, frozenset(set(edges) | triangle), frozenset()
+
+
+# One graph per colouring category, each with a unique and a tied
+# maximum.  The path 0-2-3-1 needs three colours in id order and two by
+# degree.  So does the triangle 1-3-5 with a pendant vertex at each
+# corner, at the lower ids 0, 2, 4: in id order the pendants take the
+# first class and the corners one class each.  The Groetzsch graph
+# (clique number 2) needs four colours in any order, so with a triangle
+# added no colouring has three classes.  The last graph has three
+# triangles and no tight colouring; a cover filter built from a colouring
+# with more classes than the clique number would call its maximum unique.
+GROETZSCH = nx.mycielski_graph(4)
+CATEGORY_EXAMPLES = {
+    "id order": [
+        (4, frozenset({(0, 1), (0, 2), (1, 2), (2, 3)}), frozenset()),
+        (5, frozenset({(0, 1), (2, 3)}), frozenset({4})),
+    ],
+    "degree order": [
+        (4, frozenset({(0, 2), (2, 3), (1, 3)}), frozenset()),
+        (6, frozenset({(1, 3), (3, 5), (1, 5), (0, 1), (2, 3), (4, 5)}), frozenset()),
+    ],
+    "neither": [
+        (11, frozenset(GROETZSCH.edges), frozenset()),
+        with_triangle(11, GROETZSCH.edges),
+        (
+            7,
+            frozenset(
+                {(0, 2), (0, 5), (1, 4), (1, 5), (1, 6), (2, 4), (2, 6), (3, 5), (4, 6), (5, 6)}
+            ),
+            frozenset(),
+        ),
+    ],
+}
+
+
+def with_category_examples(test):
+    for specs in CATEGORY_EXAMPLES.values():
+        for spec in specs:
+            test = example(spec)(test)
+    return test
+
+
+def oracle_uniqueness(graph):
+    """Clique number, lex-min maximum clique and uniqueness, by networkx."""
+    oracle = nx.Graph()
+    eligible = [v for v in range(graph.n_vertices) if graph.eligible >> v & 1]
+    oracle.add_nodes_from(eligible)
+    oracle.add_edges_from(
+        (u, v) for u in eligible for v in eligible if u < v and graph.adjacency[u] >> v & 1
+    )
+    maximal = [sorted(c) for c in nx.find_cliques(oracle)]
+    best = max((len(c) for c in maximal), default=0)
+    maximum = sorted(c for c in maximal if len(c) == best)
+    return best, (maximum[0] if maximum else []), len(maximum) <= 1
+
+
+class TestUniquenessFilter:
+    def test_examples_cover_every_category(self):
+        for category, examples in CATEGORY_EXAMPLES.items():
+            verdicts = set()
+            for spec in examples:
+                graph = as_graph(*spec)
+                size, _, unique = oracle_uniqueness(graph)
+                assert colouring_category(graph.adjacency, graph.eligible, size) == category
+                verdicts.add(unique)
+            assert verdicts == {True, False}, category
+
+    @settings(max_examples=300, deadline=None)
+    @given(planted_graphs())
+    @with_category_examples
+    def test_matches_networkx(self, spec):
+        graph = as_graph(*spec)
+        size, star, unique = oracle_uniqueness(graph)
+        if size:
+            event(colouring_category(graph.adjacency, graph.eligible, size))
+        assert check_uniqueness(graph, star, size) is unique
+
+    def test_cap_instances_need_no_search(self, cap_instances):
+        # The id-order colouring is tight, and the cover filter leaves
+        # only the star, so neither the renumbering nor any maximum or
+        # decision search runs.
+        for n, star_size in [(84, 4109), (60, 1495)]:
+            case = cap_instances[n]
+            assert case.max_size == case.star_size == star_size
+            assert case.unique is True
+            assert case.calls == Counter(), n
+
+
+@pytest.fixture(scope="module")
+def cap_instances():
+    """Multiset (84,5,1) and (60,5,1): max_family and check_uniqueness under call counters.
+
+    (84,5,1) has 19,366 vertices, near the default cap of 20,000.
+    """
+    results = {}
+    for n in (84, 60):
+        calls = Counter()
+        with pytest.MonkeyPatch.context() as patch:
+            for owner, name in [
+                (cliques, "_permute"),
+                (cliques._CliqueSearch, "maximum"),
+                (cliques._CliqueSearch, "exists"),
+            ]:
+                original = getattr(owner, name)
+
+                def counted(*args, _original=original, _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                patch.setattr(owner, name, counted)
+            members = enumerate_partitions(n, 5)
+            graph = build_graph(members, "multiset", 1)
+            star = star_ids(members, "multiset", 1)
+            out = max_family(graph, star=star)
+            unique = check_uniqueness(graph, star, out.max_size)
+        results[n] = SimpleNamespace(
+            max_size=out.max_size,
+            star_size=len(star),
+            witness_is_star=out.witness == star,
+            unique=unique,
+            calls=calls,
+            certified=check_colour_certificate(graph, out.colour_classes, out.max_size),
+        )
+    return results
+
+
+class TestColourCertificate:
+    @pytest.fixture(scope="class")
+    def instance_40_5_1(self):
+        members = enumerate_partitions(40, 5)
+        graph = build_graph(members, "multiset", 1)
+        out = max_family(graph, star=star_ids(members, "multiset", 1))
+        return graph, out
+
+    def test_accepts_certificates(self, instance_40_5_1, cap_instances):
+        graph, out = instance_40_5_1
+        assert out.upper_bound_at_root == out.max_size == 441
+        assert check_colour_certificate(graph, out.colour_classes, 441)
+        case = cap_instances[84]
+        assert case.witness_is_star and case.certified
+
+    def test_search_closed_instance_keeps_its_tight_colouring(self):
+        # (30,8,1): the search beats the star 522, and reaches the
+        # degree-ordered root bound 525
+        members = enumerate_partitions(30, 8)
+        graph = build_graph(members, "multiset", 1)
+        out = max_family(graph, star=star_ids(members, "multiset", 1))
+        assert (out.star_size, out.max_size, out.upper_bound_at_root) == (522, 525, 525)
+        assert check_colour_certificate(graph, out.colour_classes, 525)
+
+    def test_no_certificate_when_no_colouring_is_tight(self):
+        # proper (34,7,2): root bound 432 against a maximum of 431
+        members = enumerate_partitions(34, 7)
+        graph = build_graph(members, "proper", 2)
+        out = max_family(graph, star=star_ids(members, "proper", 2))
+        assert out.upper_bound_at_root > out.max_size
+        assert out.colour_classes is None
+
+    def test_rejects_merged_classes(self, instance_40_5_1):
+        # every class holds one star member, and star members intersect
+        graph, out = instance_40_5_1
+        classes = [list(c) for c in out.colour_classes]
+        merged = [sorted(classes[0] + classes[1])] + classes[2:]
+        assert not check_colour_certificate(graph, merged, 440)
+
+    def test_rejects_dropped_vertex(self, instance_40_5_1):
+        graph, out = instance_40_5_1
+        classes = [list(c) for c in out.colour_classes]
+        big = max(range(len(classes)), key=lambda i: len(classes[i]))
+        classes[big] = classes[big][:-1]
+        assert not check_colour_certificate(graph, classes, 441)
+
+    def test_rejects_repeated_vertex(self, instance_40_5_1):
+        # a copy of a vertex in a second class it relates to nothing in
+        graph, out = instance_40_5_1
+        classes = [list(c) for c in out.colour_classes]
+        members = graph.partitions
+        u, i = next(
+            (u, i)
+            for j, owner in enumerate(classes)
+            for u in owner
+            for i, other in enumerate(classes)
+            if i != j and not any(t_intersects(members[u], members[v], 1) for v in other)
+        )
+        classes[i] = sorted(classes[i] + [u])
+        assert not check_colour_certificate(graph, classes, 441)
+
+    def test_rejects_wrong_class_count(self, instance_40_5_1):
+        graph, out = instance_40_5_1
+        for size in (440, 442):
+            assert not check_colour_certificate(graph, out.colour_classes, size)
+
+
+class TestGreedyCompletion:
+    @settings(max_examples=200, deadline=None)
+    @given(planted_graphs())
+    def test_same_witness_and_nodes_as_plain_extraction(self, spec):
+        graph = as_graph(*spec)
+        size, lex_min, _ = oracle_uniqueness(graph)
+        if size == 0:
+            return
+        plain = cliques._CliqueSearch(graph.adjacency, 10**6, 60.0)
+        greedy = cliques._CliqueSearch(graph.adjacency, 10**6, 60.0)
+        expected = reference_lex_min(graph.adjacency, graph.eligible, size, plain)
+        got = cliques._lex_min_witness(graph.adjacency, graph.eligible, size, greedy)
+        assert got == expected == lex_min
+        assert greedy.nodes == plain.nodes
+
+
+# the default grids of verify_strong_form, verify_weak_form and
+# verify_t_conjectures under both relations: (n, k, t, relation), k None
+# for all lengths
+DEFAULT_GRID_CELLS = (
+    [(n, k, 1, "multiset") for n in range(2, 23) for k in range(2, n + 1)]
+    + [(n, None, 1, "multiset") for n in range(2, 15)]
+    + [
+        (n, k, t, relation)
+        for relation in ("multiset", "proper")
+        for t in (2, 3)
+        for k in range(t + 1, 9)
+        for n in range(k, 23)
+    ]
+)
+
+
+def pairwise_valid(family, relation, t):
+    relates = t_intersects if relation == "multiset" else properly_t_intersects
+    return all(relates(a, a, t) for a in family) and all(
+        relates(a, b, t) for a, b in combinations(family, 2)
+    )
+
+
+def validates(members, relation, t, ids):
+    try:
+        cliques._validate_family(members, Relation(relation), t, ids)
+    except RuntimeError:
+        return False
+    return True
+
+
+class TestCommonCoreValidation:
+    def test_default_grid_stars_pass_on_their_core(self, monkeypatch):
+        # The core of a star holds t ones (multiset) or 1..t (proper),
+        # so no pair is counted.
+        def refuse(*args, **kwargs):
+            raise AssertionError("pairwise recheck reached")
+
+        for name in ("multiset_common_count", "distinct_common_count"):
+            monkeypatch.setattr(cliques, name, refuse)
+        for n, k, t, relation in DEFAULT_GRID_CELLS:
+            members = enumerate_all(n) if k is None else enumerate_partitions(n, k)
+            star = star_ids(members, relation, t)
+            assert pairwise_valid([members[v] for v in star], relation, t)
+            cliques._validate_family(members, Relation(relation), t, star)
+
+    def test_pinned_witnesses_fall_back_to_pairwise(self):
+        # Their cores hold only the t-1 prepended ones, so every pair is
+        # counted; one member that misses another must be caught.
+        for n, k, t in [(8, 3, 1), (9, 4, 2), (10, 5, 3)]:
+            members = enumerate_partitions(n, k)
+            family = [
+                Partition((1,) * (t - 1) + base)
+                for base in [(1, 2, 5), (1, 3, 4), (2, 2, 4), (2, 3, 3)]
+            ]
+            ids = sorted(members.index(p) for p in family)
+            core = family[0].parts
+            for member in family:
+                core = cliques._shared_parts(core, member.parts, False)
+            assert core == (1,) * (t - 1)
+            assert validates(members, "multiset", t, ids)
+            for v in range(len(members)):
+                if v not in ids:
+                    grown = sorted(ids + [v])
+                    expected = pairwise_valid([members[u] for u in grown], "multiset", t)
+                    assert validates(members, "multiset", t, grown) is expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_agrees_with_pairwise_recheck(self, data):
+        n = data.draw(st.integers(1, 14))
+        k = data.draw(st.integers(1, n))
+        t = data.draw(st.integers(0, 4))
+        relation = data.draw(st.sampled_from(["multiset", "proper"]))
+        members = enumerate_partitions(n, k)
+        star = star_ids(members, relation, t)
+        everyone = st.integers(0, len(members) - 1)
+        ids = data.draw(st.sets(everyone, max_size=6))
+        if star:
+            ids |= data.draw(st.sets(st.sampled_from(star), max_size=len(star)))
+        ids = sorted(ids)
+        expected = pairwise_valid([members[v] for v in ids], relation, t)
+        assert validates(members, relation, t, ids) is expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_set_system_validation_agrees_with_pairwise(self, data):
+        n = data.draw(st.integers(1, 8))
+        r = data.draw(st.integers(1, n))
+        t = data.draw(st.integers(1, r))
+        instance = SetFamilyInstance(n, r, t)
+        members = list(combinations(range(1, n + 1), r))
+
+        def capture(adjacency, allowed, star, validate, **kwargs):
+            return validate
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cliques, "_solve", capture)
+            validate = max_family_set_system(instance)
+        ids = sorted(data.draw(st.sets(st.integers(0, len(members) - 1), max_size=8)))
+        expected = all(
+            len(set(members[u]) & set(members[v])) >= t for u, v in combinations(ids, 2)
+        )
+        try:
+            validate(ids)
+            got = True
+        except RuntimeError:
+            got = False
+        assert got is expected
