@@ -21,16 +21,17 @@ The engine is a Tomita-style maximum-clique search: vertices renumbered
 by descending eligible degree, adjacency kept as arbitrary-precision
 int bitsets, candidate sets bounded by greedy sequential colouring, and
 the incumbent seeded with a known clique (normally the star family) so
-the search only has to certify optimality or beat it.  Budgets on
-explored nodes and wall time turn an over-long search into a
-SearchBudgetExceeded carrying the best bounds found, never a silently
-inexact answer.  With deterministic=True the reported witness is the
-lexicographically smallest maximum clique in vertex order: once the size
-is certified, one colour-bounded depth-first search over the original
-ids, trying vertices in ascending order, stops at the first clique of
-that size.  Before it branches it tries to complete greedily, lowest
-candidate first, which on a star made of the lowest ids finishes in one
-pass.
+the search only has to certify optimality or beat it.  It runs on an
+explicit stack with no recursion, so no clique is too deep for the
+interpreter's recursion limit.  Budgets on explored nodes and wall time
+turn an over-long search into a SearchBudgetExceeded carrying the best
+bounds found, never a silently inexact answer.  With deterministic=True
+the reported witness is the lexicographically smallest maximum clique in
+vertex order: once the size is certified, one colour-bounded depth-first
+search over the original ids, trying vertices in ascending order, stops
+at the first clique of that size.  Before it branches it tries to
+complete greedily, lowest candidate first, which on a star made of the
+lowest ids finishes in one pass.
 
 Certificates.  A greedy colouring splits the vertices into independent
 classes, and a clique takes at most one vertex per class, so a colouring
@@ -49,7 +50,6 @@ intersection from below.
 
 from __future__ import annotations
 
-import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -231,13 +231,9 @@ class SearchOutcome:
     # vertices with exactly max_size classes, when one was found.
     colour_classes: list[list[int]] | None = None
 
-    @property
-    def witness_size(self) -> int:
-        return len(self.witness)
-
 
 class _Abort(Exception):
-    """Internal: unwinds the recursion when a budget is exhausted."""
+    """Internal: ends a search when a budget is exhausted."""
 
 
 class _CliqueSearch:
@@ -254,11 +250,6 @@ class _CliqueSearch:
         self.nodes = 0
         self.best_size = 0
         self.best: list[int] = []
-        self._stack: list[int] = []
-        self._target: int | None = None
-        self._found = False
-
-    # -- budget -------------------------------------------------------
 
     def _charge(self) -> None:
         self.nodes += 1
@@ -267,55 +258,55 @@ class _CliqueSearch:
         if self.nodes % 256 == 0 and time.perf_counter() > self.deadline:
             raise _Abort("time budget exhausted")
 
-    # -- greedy colouring ---------------------------------------------
+    def _search(self, candidates: int, stop: int) -> None:
+        """Raise the incumbent towards a maximum clique of ``candidates``.
 
-    def _colour_sort(self, candidates: int) -> tuple[list[int], list[int]]:
-        """Order candidates by colour class; bounds[i] = colour of order[i].
+        Each frame of the explicit stack holds its untried candidates and
+        their greedy colour classes (``_colour_classes``), and is charged
+        one node when entered.  A frame tries the highest id of its last
+        class next, and is dropped once its depth plus its class count
+        cannot beat the incumbent.  That drops every exhausted frame too:
+        after its first vertex the incumbent is deeper than the frame.
+        The search ends when the incumbent reaches ``stop``.
 
-        The colour of the last vertex is an upper bound on the clique
-        number of the candidate subgraph.
+        Classes numbered best_size - depth or lower when a frame is
+        entered are never branched on, as the incumbent only grows, so
+        their masks are blanked and only their places kept: a deep
+        search holds a few masks per frame, not one per class.
         """
-        adj = self.adj
-        order: list[int] = []
-        bounds: list[int] = []
-        colour = 0
-        remaining = candidates
-        while remaining:
-            colour += 1
-            avail = remaining
-            while avail:
-                bit = avail & -avail
-                v = bit.bit_length() - 1
-                order.append(v)
-                bounds.append(colour)
-                remaining ^= bit
-                avail = (avail ^ bit) & ~adj[v]
-        return order, bounds
-
-    # -- search -------------------------------------------------------
-
-    def _expand(self, candidates: int, depth: int) -> None:
-        self._charge()
-        adj = self.adj
-        order, bounds = self._colour_sort(candidates)
-        stack = self._stack
-        for idx in range(len(order) - 1, -1, -1):
-            if self._found:
-                return
-            if depth + bounds[idx] <= self.best_size:
-                return
-            v = order[idx]
-            stack.append(v)
-            child = candidates & adj[v]
+        chosen: list[int] = []  # the clique leading to the top frame
+        frames: list[list] = []  # [untried candidates, colour classes]
+        child = candidates  # the next frame to enter, if any
+        while True:
             if child:
-                self._expand(child, depth + 1)
-            elif depth + 1 > self.best_size:
-                self.best_size = depth + 1
-                self.best = stack.copy()
-                if self._target is not None and self.best_size >= self._target:
-                    self._found = True
-            stack.pop()
-            candidates &= ~(1 << v)
+                self._charge()
+                classes = _colour_classes(self.adj, child, child.bit_count())
+                low = max(0, min(self.best_size - len(frames), len(classes)))
+                classes[:low] = [0] * low
+                frames.append([child, classes])
+            frame = frames[-1]
+            classes = frame[1]
+            if len(chosen) + len(classes) <= self.best_size:
+                frames.pop()
+                if not chosen:
+                    return
+                chosen.pop()
+                child = 0
+                continue
+            v = classes[-1].bit_length() - 1
+            bit = 1 << v
+            classes[-1] ^= bit
+            if not classes[-1]:
+                classes.pop()
+            frame[0] ^= bit
+            child = frame[0] & self.adj[v]
+            if child:
+                chosen.append(v)
+            elif len(chosen) + 1 > self.best_size:
+                self.best_size = len(chosen) + 1
+                self.best = chosen + [v]
+                if self.best_size >= stop:
+                    return
 
     def maximum(self, candidates: int, seed: list[int]) -> tuple[int, list[int]]:
         """Size and witness of a maximum clique within ``candidates``.
@@ -324,12 +315,11 @@ class _CliqueSearch:
         incumbent so the search only explores potentially larger
         cliques.
         """
-        self._target = None
-        self._found = False
         self.best_size = len(seed)
         self.best = list(seed)
         if candidates:
-            self._expand(candidates, 0)
+            # no clique outgrows the candidates
+            self._search(candidates, candidates.bit_count())
         return self.best_size, sorted(self.best)
 
     def exists(self, candidates: int, target: int) -> bool:
@@ -338,13 +328,10 @@ class _CliqueSearch:
             return True
         if candidates.bit_count() < target:
             return False
-        self._target = target
-        self._found = False
         self.best_size = target - 1
         self.best = []
-        self._expand(candidates, 0)
-        self._target = None
-        return self._found
+        self._search(candidates, target)
+        return self.best_size >= target
 
 
 def _permute(adjacency: list[int], allowed: int) -> tuple[list[int], list[int]]:
@@ -430,9 +417,9 @@ def _colour_classes(adjacency: list[int], candidates: int, stop: int) -> list[in
     """Greedy colour classes of ``candidates`` in id order, at most ``stop`` of them.
 
     Each class takes the lowest uncoloured vertex, then every higher one
-    not adjacent to the class so far, as ``_CliqueSearch._colour_sort``
-    does.  Returns the class masks; fewer than ``stop`` classes cover all
-    of ``candidates``, and then their count bounds its clique number.
+    not adjacent to the class so far.  Returns the class masks; fewer
+    than ``stop`` classes cover all of ``candidates``, and then their
+    count bounds its clique number.
     """
     classes: list[int] = []
     while candidates and len(classes) < stop:
@@ -616,9 +603,6 @@ def _solve(
     size, witness = len(seed_ids), seed_ids
     try:
         if root_bound > size:
-            # Recursion depth tracks the clique size, which can approach
-            # the vertex count on dense instances.
-            sys.setrecursionlimit(max(sys.getrecursionlimit(), len(ids) + 500))
             where = {v: i for i, v in enumerate(ids)}
             size, witness_perm = search.maximum(
                 (1 << len(ids)) - 1, [where[v] for v in seed_ids]

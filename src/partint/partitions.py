@@ -13,6 +13,7 @@ depend on it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 DEFAULT_MAX_VERTICES = 20_000
@@ -22,6 +23,7 @@ class ResourceGuardError(RuntimeError):
     """An enumeration was refused because it would exceed the vertex cap."""
 
 
+@dataclass(frozen=True, order=True, slots=True)
 class Partition:
     """A partition of ``n``: a nondecreasing tuple of positive parts.
 
@@ -29,7 +31,7 @@ class Partition:
     sorting any collection of partitions reproduces enumeration order.
     """
 
-    __slots__ = ("parts",)
+    parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int]):
         parts = tuple(parts)
@@ -44,7 +46,7 @@ class Partition:
                     raise ValueError(f"parts must be positive, got {part}")
                 raise ValueError(f"parts must be nondecreasing, got {parts}")
             prev = part
-        self.parts: tuple[int, ...] = parts
+        object.__setattr__(self, "parts", parts)
 
     @property
     def n(self) -> int:
@@ -64,26 +66,6 @@ class Partition:
 
     def __getitem__(self, i):
         return self.parts[i]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __lt__(self, other: "Partition") -> bool:
-        return self.parts < other.parts
-
-    def __le__(self, other: "Partition") -> bool:
-        return self.parts <= other.parts
-
-    def __gt__(self, other: "Partition") -> bool:
-        return self.parts > other.parts
-
-    def __ge__(self, other: "Partition") -> bool:
-        return self.parts >= other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
 
     def __repr__(self) -> str:
         return f"Partition({self.parts!r})"

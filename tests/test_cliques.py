@@ -1,7 +1,9 @@
 """Exact search engine against brute force and networkx oracles."""
 
 import random
+import sys
 from collections import Counter
+from contextlib import contextmanager
 from itertools import combinations
 from math import comb
 from types import SimpleNamespace
@@ -424,6 +426,15 @@ class TestUniqueness:
         assert info.value.elapsed > 0
 
 
+@pytest.fixture
+def default_recursion_limit():
+    """The interpreter's default recursion limit for one test, restored after."""
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield 1000
+    sys.setrecursionlimit(before)
+
+
 class TestSeedValidationAndBudgets:
     def test_invalid_seed_family_rejected(self):
         members = enumerate_partitions(8, 3)
@@ -484,7 +495,7 @@ class TestSeedValidationAndBudgets:
         assert out.max_size == count_partitions(39, 4)
         assert out.nodes_explored <= 442
 
-    def test_beaten_star_node_count(self):
+    def test_beaten_star_node_count(self, default_recursion_limit):
         # the witness differs from the star, so extraction cannot stop
         # at the first greedy path
         members = enumerate_partitions(34, 7)
@@ -492,11 +503,21 @@ class TestSeedValidationAndBudgets:
         out = max_family(graph, star=star_ids(members, "proper", 2))
         assert (out.star_size, out.max_size) == (427, 431)
         assert out.nodes_explored <= 889
+        # the search over 1,175 renumbered vertices leaves the limit alone
+        assert sys.getrecursionlimit() == default_recursion_limit
 
     def test_all_lengths_entry_point(self):
         out = max_family_all_lengths(8, 1)
         assert out.max_size == count_all(7) == 15
         assert out.star_is_maximum
+
+    def test_clique_deeper_than_the_recursion_limit(self, default_recursion_limit):
+        # on K_1200 the search descends 1,200 frames deep
+        n = 1200
+        full = (1 << n) - 1
+        adjacency = [full ^ (1 << v) for v in range(n)]
+        search = cliques._CliqueSearch(adjacency, 10**9, 600.0)
+        assert search.maximum(full, []) == (n, list(range(n)))
 
 
 class TestSetSystems:
@@ -740,15 +761,20 @@ def with_category_examples(test):
     return test
 
 
-def oracle_uniqueness(graph):
-    """Clique number, lex-min maximum clique and uniqueness, by networkx."""
+def maximal_cliques(graph):
+    """The maximal cliques among the eligible vertices, each sorted, by networkx."""
     oracle = nx.Graph()
     eligible = [v for v in range(graph.n_vertices) if graph.eligible >> v & 1]
     oracle.add_nodes_from(eligible)
     oracle.add_edges_from(
         (u, v) for u in eligible for v in eligible if u < v and graph.adjacency[u] >> v & 1
     )
-    maximal = [sorted(c) for c in nx.find_cliques(oracle)]
+    return [sorted(c) for c in nx.find_cliques(oracle)]
+
+
+def oracle_uniqueness(graph):
+    """Clique number, lex-min maximum clique and uniqueness, by networkx."""
+    maximal = maximal_cliques(graph)
     best = max((len(c) for c in maximal), default=0)
     maximum = sorted(c for c in maximal if len(c) == best)
     return best, (maximum[0] if maximum else []), len(maximum) <= 1
@@ -905,6 +931,159 @@ class TestGreedyCompletion:
         got = cliques._lex_min_witness(graph.adjacency, graph.eligible, size, greedy)
         assert got == expected == lex_min
         assert greedy.nodes == plain.nodes
+
+
+def is_clique(graph, ids):
+    """True iff ``ids`` are distinct eligible vertices, pairwise adjacent in ``graph``."""
+    return (
+        len(set(ids)) == len(ids)
+        and all(graph.eligible >> v & 1 for v in ids)
+        and all(graph.adjacency[u] >> v & 1 for u, v in combinations(ids, 2))
+    )
+
+
+@contextmanager
+def validated_as_cliques(graph):
+    """Let ``_validate_family`` check cliques in ``graph``'s own adjacency.
+
+    ``as_graph`` labels its vertices with placeholder partitions that do
+    not relate, so the relation itself cannot judge its families.
+    """
+
+    def validate(partitions, relation, t, ids):
+        if not is_clique(graph, ids):
+            raise RuntimeError(f"{ids} is not a clique of eligible vertices")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cliques, "_validate_family", validate)
+        yield
+
+
+def seeds(graph):
+    """No seed, or a subset of a maximal clique (often all of it)."""
+    maximal = maximal_cliques(graph)
+    if not maximal:
+        return st.none()
+    clique = st.sampled_from(maximal)
+    return st.none() | clique | clique.flatmap(
+        lambda c: st.sets(st.sampled_from(c)).map(sorted)
+    )
+
+
+class TestMaxFamilyAgainstNetworkx:
+    @settings(max_examples=300, deadline=None)
+    @given(planted_graphs(), st.data())
+    def test_size_and_lex_min_witness(self, spec, data):
+        graph = as_graph(*spec)
+        size, lex_min, _ = oracle_uniqueness(graph)
+        seed = data.draw(seeds(graph))
+        event("unseeded" if seed is None else "seeded")
+        with validated_as_cliques(graph):
+            exact = max_family(graph, star=seed)
+            plain = max_family(graph, star=seed, deterministic=False)
+        assert exact.max_size == plain.max_size == size
+        assert exact.witness == lex_min
+        assert len(plain.witness) == size and is_clique(graph, plain.witness)
+        if seed is None:
+            # no seed to certify, so the search runs whenever a vertex is eligible
+            assert (plain.nodes_explored > 0) is (graph.eligible != 0)
+        else:
+            assert exact.star_is_maximum is (len(seed) == size)
+
+    @settings(max_examples=300, deadline=None)
+    @given(planted_graphs(), st.data())
+    def test_budget_abort_brackets_the_clique_number(self, spec, data):
+        graph = as_graph(*spec)
+        size, _, _ = oracle_uniqueness(graph)
+        seed = data.draw(seeds(graph))
+        deterministic = data.draw(st.booleans())
+        with validated_as_cliques(graph):
+            full = max_family(graph, star=seed, deterministic=deterministic)
+            if full.nodes_explored == 0:
+                return
+            budget = data.draw(st.integers(0, full.nodes_explored - 1))
+            with pytest.raises(SearchBudgetExceeded) as info:
+                max_family(graph, star=seed, node_budget=budget, deterministic=deterministic)
+        exc = info.value
+        assert exc.lower_bound <= size <= exc.upper_bound
+        assert len(exc.witness) == exc.lower_bound and is_clique(graph, exc.witness)
+        assert exc.nodes_explored == budget + 1
+
+
+class RecursiveSearch:
+    """Recursive Tomita search: vertices sorted by greedy colour, last class first.
+
+    The reference for ``_CliqueSearch``'s branching order, bound and node
+    charges.  The search stops once ``best_size`` reaches ``target``.
+    """
+
+    def __init__(self, adjacency, best, best_size, target=None):
+        self.adj, self.best, self.best_size, self.target = adjacency, best, best_size, target
+        self.nodes = 0
+
+    def expand(self, candidates, chosen):
+        self.nodes += 1
+        order, bounds = [], []
+        colour, remaining = 0, candidates
+        while remaining:
+            colour += 1
+            avail = remaining
+            while avail:
+                bit = avail & -avail
+                v = bit.bit_length() - 1
+                order.append(v)
+                bounds.append(colour)
+                remaining ^= bit
+                avail = (avail ^ bit) & ~self.adj[v]
+        for v, bound in zip(reversed(order), reversed(bounds)):
+            if self.target is not None and self.best_size >= self.target:
+                return
+            if len(chosen) + bound <= self.best_size:
+                return
+            child = candidates & self.adj[v]
+            if child:
+                self.expand(child, chosen + [v])
+            elif len(chosen) + 1 > self.best_size:
+                self.best_size, self.best = len(chosen) + 1, chosen + [v]
+            candidates &= ~(1 << v)
+
+
+class TestSearchOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(planted_graphs(), st.data())
+    def test_maximum_matches_recursive_search(self, spec, data):
+        graph = as_graph(*spec)
+        seed = data.draw(seeds(graph)) or []
+        reference = RecursiveSearch(graph.adjacency, seed, len(seed))
+        if graph.eligible:
+            reference.expand(graph.eligible, [])
+        search = cliques._CliqueSearch(graph.adjacency, 10**6, 60.0)
+        got = search.maximum(graph.eligible, seed)
+        assert got == (reference.best_size, sorted(reference.best))
+        assert search.nodes == reference.nodes
+
+    @settings(max_examples=300, deadline=None)
+    @given(planted_graphs(), st.data())
+    def test_exists_matches_recursive_search(self, spec, data):
+        graph = as_graph(*spec)
+        size, _, _ = oracle_uniqueness(graph)
+        target = data.draw(st.integers(1, size + 1))
+        search = cliques._CliqueSearch(graph.adjacency, 10**6, 60.0)
+        got = search.exists(graph.eligible, target)
+        assert got is (size >= target)
+        reference = RecursiveSearch(graph.adjacency, [], target - 1, target)
+        if graph.eligible.bit_count() >= target:
+            reference.expand(graph.eligible, [])
+        assert search.nodes == reference.nodes
+
+    def test_exists_stops_at_the_target(self):
+        # the first leaf reaches the target; searching on would charge
+        # two more nodes
+        edges = frozenset({(0, 1), (0, 3), (1, 3), (1, 4), (2, 4)})
+        graph = as_graph(5, edges, frozenset())
+        search = cliques._CliqueSearch(graph.adjacency, 10**6, 60.0)
+        assert search.exists(graph.eligible, 1)
+        assert search.nodes == 2
 
 
 # the default grids of verify_strong_form, verify_weak_form and

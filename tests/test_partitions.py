@@ -62,6 +62,15 @@ class TestPartition:
     def test_usable_in_sets(self):
         assert len({Partition((1, 4)), Partition((1, 4))}) == 1
 
+    def test_frozen(self):
+        p = Partition((1, 4))
+        with pytest.raises(AttributeError):
+            p.parts = (2, 3)
+        assert p == Partition((1, 4))
+
+    def test_repr_shows_the_parts_tuple(self):
+        assert repr(Partition((1, 2))) == "Partition((1, 2))"
+
 
 class TestFrozenValues:
     def test_p_10_3_is_8(self):
