@@ -61,7 +61,6 @@ from operator import itemgetter
 
 from .intersect import (
     Relation,
-    distinct_common_count,
     distinct_parts,
     indexed_part_set,
     multiset_common_count,
@@ -393,7 +392,9 @@ def _validate_family(
     as distinct values under the proper one.  Every member contains the
     core, so any two members (and each member with itself) share at
     least its size; a core of t or more parts proves the family valid.
-    Otherwise every member and every pair is counted directly.
+    Otherwise every member and every pair is counted directly: shared
+    parts with multiplicity by a two-pointer walk, shared distinct
+    values as the size of a set intersection.
     """
     distinct = relation is Relation.PROPER
     members = [partitions[v].parts for v in ids]
@@ -404,12 +405,20 @@ def _validate_family(
             break
     else:
         return
-    common = distinct_common_count if distinct else multiset_common_count
-    for parts in members:
-        if common(parts, parts, stop_at=t) < t:
+    if distinct:
+        keys = [frozenset(parts) for parts in members]
+
+        def common(a: frozenset[int], b: frozenset[int]) -> int:
+            return len(a & b)
+
+    else:
+        keys = members
+        common = partial(multiset_common_count, stop_at=t)
+    for key, parts in zip(keys, members):
+        if common(key, key) < t:
             raise RuntimeError(f"witness member {parts} cannot {t}-intersect itself")
-    for pa, pb in combinations(members, 2):
-        if common(pa, pb, stop_at=t) < t:
+    for (ka, pa), (kb, pb) in combinations(zip(keys, members), 2):
+        if common(ka, kb) < t:
             raise RuntimeError(f"witness members {pa} and {pb} do not {t}-intersect")
 
 
@@ -601,6 +610,7 @@ def _solve(
     # Without a renumbering the search object only meters the extraction.
     search = _CliqueSearch(perm_adj or [], node_budget, time_budget_secs)
     size, witness = len(seed_ids), seed_ids
+    upper_bound = root_bound
     try:
         if root_bound > size:
             where = {v: i for i, v in enumerate(ids)}
@@ -608,6 +618,7 @@ def _solve(
                 (1 << len(ids)) - 1, [where[v] for v in seed_ids]
             )
             witness = sorted(ids[i] for i in witness_perm)
+            upper_bound = size  # certified; only the extraction can abort now
         if deterministic and size > 0:
             # Lex order is over the original ids, not the permuted ones.
             witness = _lex_min_witness(adjacency, allowed, size, search)
@@ -617,7 +628,7 @@ def _solve(
         raise SearchBudgetExceeded(
             str(abort),
             lower_bound=size,
-            upper_bound=root_bound,
+            upper_bound=upper_bound,
             witness=witness,
             nodes_explored=search.nodes,
             elapsed=time.perf_counter() - start,

@@ -15,10 +15,18 @@ Three constructions drive the library's structural guarantees:
 Each construction re-verifies the assertions its derivation relies on
 and surfaces any discrepancy as a hard error; the verified facts are
 also returned in report form so sweeps can display them.
+
+The fibre family is verified on plain tuples, one piece F_i at a time.
+A tuple sorts into P(n, k) exactly when it has k positive integer
+entries summing to n, so no member is turned into a ``Partition``.
+Every member of F_i starts with i, so a fibre class (sorted form, first
+entry) lies inside one piece, and counting sorted forms piece by piece
+bounds every class of the whole family.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -139,16 +147,21 @@ def sort_tuple(x) -> Partition:
     return Partition(sorted(x))
 
 
-def _fibre_bound_holds(members, k: int) -> bool:
-    # A member's fibre is its sorted form; within a fibre, members with
-    # the same first entry differ only in which copy of the remaining
-    # multiset sits last, so each (fibre, first entry) class has at
-    # most k-1 members.
-    counts: dict[tuple[tuple[int, ...], int], int] = {}
-    for x in members:
-        key = (tuple(sorted(x)), x[0])
-        counts[key] = counts.get(key, 0) + 1
-    return all(v <= k - 1 for v in counts.values())
+def _piece_checks(piece, n: int, k: int) -> tuple[bool, bool]:
+    """``members_partition_n`` and ``fibre_bound_holds`` for one piece F_i.
+
+    A member sorts into P(n, k) exactly when it has k entries, all
+    positive integers, summing to n, so the tuple itself is checked and
+    no ``Partition`` is built.  A member's fibre is its sorted form;
+    within a fibre, members with the same first entry differ only in
+    which copy of the remaining multiset sits last, so each (fibre,
+    first entry) class has at most k-1 members.  Every member of F_i
+    starts with i, so such a class never spans two pieces and counting
+    sorted forms within each piece checks the whole family.
+    """
+    members_ok = all(len(x) == k and min(x) >= 1 and sum(x) == n for x in piece)
+    fibres = Counter(tuple(sorted(x)) for x in piece)
+    return members_ok, max(fibres.values(), default=0) <= k - 1
 
 
 def lemma2_family(
@@ -156,9 +169,12 @@ def lemma2_family(
 ) -> Lemma2Report:
     """Build and verify the fibre family F for n >= ck^3, k >= 3, c >= 1.
 
-    Stores F and verifies every assertion exhaustively.  Raises
-    ResourceGuardError when |F| = ck^2 * p(n, k-1) exceeds
-    ``materialize_limit``.
+    Stores F and verifies every assertion exhaustively, one piece at a
+    time on plain tuples: each F_i is built from the parts tuples of
+    P(n, k-1), checked by ``_piece_checks``, and tested for disjointness
+    from the pieces before it.  Only the p(n, k-1) base partitions are
+    ever built as ``Partition`` objects.  Raises ResourceGuardError when
+    |F| = ck^2 * p(n, k-1) exceeds ``materialize_limit``.
     """
     if k < 3 or c < 1:
         raise ValueError(f"need k >= 3 and c >= 1, got k={k}, c={c}")
@@ -174,23 +190,31 @@ def lemma2_family(
             f"the fibre family has {expected} members, above the cap {materialize_limit}"
         )
 
-    def lift(a_parts: tuple[int, ...], i: int) -> tuple[int, ...]:
-        member = (i,) + a_parts[:-1] + (a_parts[-1] - i,)
-        if member[-1] < 1:
-            raise ConstructionError(f"piece {i}: member {member} has a nonpositive entry")
-        return member
-
-    base = enumerate_partitions(n, k - 1, max_vertices=materialize_limit)
+    base = [
+        (a.parts[:-1], a.parts[-1])
+        for a in enumerate_partitions(n, k - 1, max_vertices=materialize_limit)
+    ]
+    # Piece i subtracts i from the last part, so the first piece with a
+    # nonpositive entry is i = the smallest last part.
+    smallest_last = min(last for _, last in base)
+    if smallest_last <= pieces:
+        rest, last = next(b for b in base if b[1] == smallest_last)
+        member = (last,) + rest + (0,)
+        raise ConstructionError(f"piece {last}: member {member} has a nonpositive entry")
     family: set[tuple[int, ...]] = set()
     pieces_disjoint = True
     members_ok = True
+    fibres_ok = True
     for i in range(1, pieces + 1):
-        fi = {lift(a.parts, i) for a in base}
+        head = (i,)
+        fi = {head + rest + (last - i,) for rest, last in base}
         if len(fi) != count_k1:
             raise ConstructionError(f"piece {i} has {len(fi)} members, not {count_k1}")
-        if family & fi:
+        if not family.isdisjoint(fi):
             pieces_disjoint = False
-        members_ok = members_ok and all(len(x) == k and sort_tuple(x).n == n for x in fi)
+        piece_members_ok, piece_fibres_ok = _piece_checks(fi, n, k)
+        members_ok = members_ok and piece_members_ok
+        fibres_ok = fibres_ok and piece_fibres_ok
         family |= fi
 
     return Lemma2Report(
@@ -204,7 +228,7 @@ def lemma2_family(
         pieces_disjoint=pieces_disjoint,
         size_matches=len(family) == expected,
         members_partition_n=members_ok,
-        fibre_bound_holds=_fibre_bound_holds(family, k),
+        fibre_bound_holds=fibres_ok,
         inequality_holds=count_k > c * count_k1,
         family=family,
     )

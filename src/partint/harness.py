@@ -565,8 +565,8 @@ def _suite_padding(report: list[SuiteResult]) -> None:
     injective = SuiteResult("padding_injection", 0, 0)
     strict = SuiteResult("padding_strictness", 0, 0)
     for k in range(3, 7):
+        target = {}
         for m in range(k, 21):
-            target = {}
             for n in range(m, 21):
                 label = f"(m={m}, n={n}, k={k})"
                 injective.instances += 1

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, including exit codes."""
 
+import hashlib
 import json
 
 from partint import harness
@@ -197,6 +198,13 @@ class TestLemmasAndSetSystems:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["summary"]["all_passed"] is True
+
+    def test_lemma_report_bytes_are_pinned(self, capsys):
+        # the whole lemma-suite report, byte for byte
+        assert main(["lemmas", "--seed", "7", "--format", "json"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert len(out) == 2011
+        assert hashlib.sha256(out).hexdigest().startswith("acaab58f51f42504")
 
     def test_lemma_table_output(self, capsys):
         code = main(["lemmas", "--trials", "10"])

@@ -176,7 +176,8 @@ class TestGraphConstruction:
         for name in ("multiset_common_count", "distinct_common_count"):
             spy = counting(getattr(intersect, name))
             for module in (intersect, cliques):
-                monkeypatch.setattr(module, name, spy)
+                if hasattr(module, name):  # cliques imports only the multiset one
+                    monkeypatch.setattr(module, name, spy)
         members = enumerate_partitions(34, 7)
         graph = build_graph(members, "proper", 2)
         assert graph.n_vertices == 1175
@@ -483,9 +484,22 @@ class TestSeedValidationAndBudgets:
         with pytest.raises(SearchBudgetExceeded) as info:
             max_family(graph, star=star, node_budget=search_only.nodes_explored)
         exc = info.value
-        assert exc.lower_bound == search_only.max_size
+        assert exc.lower_bound == exc.upper_bound == search_only.max_size
         assert len(exc.witness) == exc.lower_bound
         assert exc.nodes_explored > search_only.nodes_explored
+
+    def test_extraction_abort_reports_the_certified_maximum(self):
+        # proper (34,7,2): root bound 432, maximum 431 beating a star of
+        # 427; the search takes 432 nodes, so node 433 is in extraction
+        members = enumerate_partitions(34, 7)
+        graph = build_graph(members, "proper", 2)
+        star = star_ids(members, "proper", 2)
+        assert max_family(graph, star=star, deterministic=False).nodes_explored == 432
+        with pytest.raises(SearchBudgetExceeded) as info:
+            max_family(graph, star=star, node_budget=432)
+        exc = info.value
+        assert (exc.lower_bound, exc.upper_bound) == (431, 431)
+        assert len(exc.witness) == 431 and exc.nodes_explored == 433
 
     def test_lex_min_extraction_node_count(self):
         members = enumerate_partitions(40, 5)
@@ -1004,8 +1018,11 @@ class TestMaxFamilyAgainstNetworkx:
             budget = data.draw(st.integers(0, full.nodes_explored - 1))
             with pytest.raises(SearchBudgetExceeded) as info:
                 max_family(graph, star=seed, node_budget=budget, deterministic=deterministic)
+            search_nodes = max_family(graph, star=seed, deterministic=False).nodes_explored
         exc = info.value
         assert exc.lower_bound <= size <= exc.upper_bound
+        if budget >= search_nodes:  # aborted in extraction, after the search certified
+            assert exc.lower_bound == exc.upper_bound == size
         assert len(exc.witness) == exc.lower_bound and is_clique(graph, exc.witness)
         assert exc.nodes_explored == budget + 1
 
@@ -1124,7 +1141,7 @@ class TestCommonCoreValidation:
         def refuse(*args, **kwargs):
             raise AssertionError("pairwise recheck reached")
 
-        for name in ("multiset_common_count", "distinct_common_count"):
+        for name in ("multiset_common_count", "combinations"):
             monkeypatch.setattr(cliques, name, refuse)
         for n, k, t, relation in DEFAULT_GRID_CELLS:
             members = enumerate_all(n) if k is None else enumerate_partitions(n, k)

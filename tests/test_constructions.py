@@ -1,6 +1,8 @@
 """Padding injections, fibre families, cover sets, boundary witnesses."""
 
 import random
+from collections import Counter
+from dataclasses import fields
 from itertools import combinations
 
 import pytest
@@ -21,7 +23,13 @@ from partint import (
     proposition_witnesses,
     t_intersects,
 )
-from partint.constructions import count_monotonicity_is_strict, sort_tuple
+from partint import constructions
+from partint.constructions import (
+    Lemma2Report,
+    _piece_checks,
+    count_monotonicity_is_strict,
+    sort_tuple,
+)
 from partint.harness import random_cover_instance
 
 
@@ -91,7 +99,117 @@ class TestStrictnessWitness:
             lemma1_strictness_witness(4, 3)
 
 
+def reference_lemma2_family(n, k, c):
+    """The fibre family verified member by member through ``Partition``.
+
+    Every member is sorted into a validated partition, and the fibre
+    classes are counted over the whole family at once.
+    """
+    count_k1 = count_partitions(n, k - 1)
+    count_k = count_partitions(n, k)
+    pieces = c * k * k
+    base = enumerate_partitions(n, k - 1)
+    family = set()
+    pieces_disjoint = True
+    members_ok = True
+    for i in range(1, pieces + 1):
+        fi = {(i,) + a.parts[:-1] + (a.parts[-1] - i,) for a in base}
+        assert len(fi) == count_k1
+        if family & fi:
+            pieces_disjoint = False
+        members_ok = members_ok and all(len(x) == k and sort_tuple(x).n == n for x in fi)
+        family |= fi
+    counts = Counter((tuple(sorted(x)), x[0]) for x in family)
+    return Lemma2Report(
+        n=n,
+        k=k,
+        c=c,
+        family_size=len(family),
+        expected_size=pieces * count_k1,
+        count_k=count_k,
+        count_k_minus_1=count_k1,
+        pieces_disjoint=pieces_disjoint,
+        size_matches=len(family) == pieces * count_k1,
+        members_partition_n=members_ok,
+        fibre_bound_holds=all(v <= k - 1 for v in counts.values()),
+        inequality_holds=count_k > c * count_k1,
+        family=family,
+    )
+
+
 class TestFibreFamilies:
+    @pytest.mark.parametrize("n, k, c", [(27, 3, 1), (34, 3, 1), (54, 3, 2), (64, 4, 1)])
+    def test_matches_member_by_member_reference(self, n, k, c):
+        report = lemma2_family(n, k, c)
+        reference = reference_lemma2_family(n, k, c)
+        for field in fields(Lemma2Report):
+            assert getattr(report, field.name) == getattr(reference, field.name), field.name
+        assert report.all_assertions_hold
+
+    def test_piece_checks_accept_a_real_piece(self):
+        piece = {(3,) + a.parts[:-1] + (a.parts[-1] - 3,) for a in enumerate_partitions(27, 2)}
+        assert _piece_checks(piece, 27, 3) == (True, True)
+
+    def test_piece_checks_reject_a_member_summing_to_n_plus_one(self):
+        piece = {(1, 1, 25), (1, 2, 24), (1, 3, 24)}
+        assert _piece_checks(piece, 27, 3) == (False, True)
+
+    def test_piece_checks_reject_a_zero_entry(self):
+        piece = {(1, 1, 25), (1, 0, 26)}
+        assert _piece_checks(piece, 27, 3) == (False, True)
+
+    def test_piece_checks_reject_a_wrong_length(self):
+        assert _piece_checks({(1, 1, 25), (1, 26)}, 27, 3) == (False, True)
+
+    def test_piece_checks_reject_k_members_in_one_fibre(self):
+        # four orderings of 1+2+3+4 that all start with 1
+        piece = {(1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4), (1, 3, 4, 2)}
+        assert _piece_checks(piece, 10, 4) == (True, False)
+        assert _piece_checks(piece - {(1, 3, 4, 2)}, 10, 4) == (True, True)
+
+    @pytest.mark.parametrize("failed", [(False, True), (True, False)])
+    def test_one_failed_piece_fails_the_report(self, monkeypatch, failed):
+        real = constructions._piece_checks
+        calls = []
+
+        def fail_piece_five(piece, n, k):
+            calls.append(piece)
+            return failed if len(calls) == 5 else real(piece, n, k)
+
+        monkeypatch.setattr(constructions, "_piece_checks", fail_piece_five)
+        report = lemma2_family(27, 3, 1)
+        assert len(calls) == 9
+        assert (report.members_partition_n, report.fibre_bound_holds) == failed
+        assert not report.all_assertions_hold
+
+    def test_bad_base_raises(self, monkeypatch):
+        def fake_base(parts):
+            return lambda n, k, max_vertices: [Partition(p) for p in parts]
+
+        # 13 members, as p(27, 2), but piece 6 takes the last part 6 to 0
+        base = [(a, 27 - a) for a in range(1, 13)] + [(3, 6)]
+        monkeypatch.setattr(constructions, "enumerate_partitions", fake_base(base))
+        with pytest.raises(ConstructionError, match=r"piece 6: member \(6, 3, 0\) has a"):
+            lemma2_family(27, 3, 1)
+        # 13 copies of one partition make a piece of 1 member, not p(27, 2) = 13
+        monkeypatch.setattr(constructions, "enumerate_partitions", fake_base([(13, 14)] * 13))
+        with pytest.raises(ConstructionError, match="piece 1 has 1 members, not 13"):
+            lemma2_family(27, 3, 1)
+
+    def test_builds_only_the_base_partitions(self, monkeypatch):
+        built = []
+        init = Partition.__init__
+
+        def counting_init(self, parts):
+            built.append(1)
+            init(self, parts)
+
+        monkeypatch.setattr(Partition, "__init__", counting_init)
+        report = lemma2_family(128, 4, 2)
+        assert report.family_size == 32 * 1365 and report.all_assertions_hold
+        # p(128, 3) = 1,365; verifying each member as a Partition built 45,045
+        assert len(built) <= count_partitions(128, 3) == 1365
+
     def test_full_mode_all_assertions(self):
         report = lemma2_family(27, 3, 1)
         assert report.family_size == len(report.family) == report.expected_size
