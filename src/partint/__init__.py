@@ -23,7 +23,6 @@ from .cliques import (
     build_graph,
     check_uniqueness,
     max_family,
-    max_family_all_lengths,
     max_family_set_system,
 )
 from .constructions import (
@@ -118,7 +117,6 @@ __all__ = [
     "lemma2_family",
     "lemma3_cover",
     "max_family",
-    "max_family_all_lengths",
     "max_family_set_system",
     "multiset_common_count",
     "properly_t_intersects",

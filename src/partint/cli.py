@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .cliques import (
     DEFAULT_NODE_BUDGET,
@@ -37,28 +37,28 @@ from .harness import (
 from .partitions import DEFAULT_MAX_VERTICES, count_all, count_partitions, enumerate_partitions
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
+# Option dests are RunConfig field names, so _config_from_args can pick them up.
+def _add_output_options(parser: argparse.ArgumentParser) -> None:
+    formats = ("json", "csv", "table")
+    parser.add_argument("--format", dest="fmt", choices=formats, default="table")
+    parser.add_argument("--out", dest="out_path", metavar="PATH")
+
+
+def _add_search_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
     parser.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    parser.add_argument(
-        "--time-budget-secs", type=float, default=DEFAULT_TIME_BUDGET_SECS
-    )
+    parser.add_argument("--time-budget-secs", type=float, default=DEFAULT_TIME_BUDGET_SECS)
     parser.add_argument(
         "--deterministic",
         action=argparse.BooleanOptionalAction,
         default=True,
         help="canonical witnesses and zeroed timings (default on)",
     )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--format", choices=("json", "csv", "table"), default="table")
-    parser.add_argument("--out", metavar="PATH", default=None)
-    parser.add_argument("--cache", metavar="PATH", default=None)
-    parser.add_argument("--fail-fast", action="store_true")
 
 
 def _add_grid_options(parser: argparse.ArgumentParser) -> None:
     for name in ("n-min", "n-max", "k-min", "k-max", "t-min", "t-max"):
-        parser.add_argument(f"--{name}", type=int, default=None)
+        parser.add_argument(f"--{name}", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,12 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="list P(n, k) in canonical order")
     p_enum.add_argument("n", type=int)
     p_enum.add_argument("k", type=int)
-    _add_common_options(p_enum)
+    p_enum.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
+    _add_output_options(p_enum)
 
     p_count = sub.add_parser("count", help="p(n, k), or p(n) when k is omitted")
     p_count.add_argument("n", type=int)
     p_count.add_argument("k", type=int, nargs="?", default=None)
-    _add_common_options(p_count)
+    _add_output_options(p_count)
 
     p_max = sub.add_parser(
         "max-family", help="certified maximum intersecting family for one instance"
@@ -93,53 +94,43 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="also decide whether the star is the unique maximum (default on)",
     )
-    _add_common_options(p_max)
+    _add_search_options(p_max)
+    _add_output_options(p_max)
 
     p_verify = sub.add_parser("verify", help="sweep a grid and report star vs maximum")
     p_verify.add_argument(
         "mode", choices=("strong", "weak", "t-multiset", "t-proper")
     )
     _add_grid_options(p_verify)
-    _add_common_options(p_verify)
+    _add_search_options(p_verify)
+    _add_output_options(p_verify)
+    p_verify.add_argument("--cache", dest="cache_path", metavar="PATH")
+    p_verify.add_argument("--fail-fast", action="store_true")
 
     p_lemmas = sub.add_parser("lemmas", help="run the construction suites")
     p_lemmas.add_argument("--trials", type=int, default=1000)
-    _add_common_options(p_lemmas)
+    p_lemmas.add_argument("--seed", type=int, default=0)
+    _add_output_options(p_lemmas)
 
     p_ekr = sub.add_parser(
         "ekr-check", help="cross-validate the engine on set-system ground truth"
     )
     _add_grid_options(p_ekr)
-    _add_common_options(p_ekr)
+    _add_search_options(p_ekr)
+    _add_output_options(p_ekr)
 
     p_cache = sub.add_parser("cache", help="inspect or clear a row cache")
     p_cache.add_argument("action", choices=("stats", "clear"))
-    p_cache.add_argument("--cache", metavar="PATH", required=True)
+    p_cache.add_argument("--cache", dest="cache_path", metavar="PATH", required=True)
 
     return parser
 
 
 def _config_from_args(args: argparse.Namespace, **overrides) -> RunConfig:
-    fields = dict(
-        n_min=getattr(args, "n_min", None),
-        n_max=getattr(args, "n_max", None),
-        k_min=getattr(args, "k_min", None),
-        k_max=getattr(args, "k_max", None),
-        t_min=getattr(args, "t_min", None),
-        t_max=getattr(args, "t_max", None),
-        max_vertices=args.max_vertices,
-        node_budget=args.node_budget,
-        time_budget_secs=args.time_budget_secs,
-        deterministic=args.deterministic,
-        seed=args.seed,
-        trials=getattr(args, "trials", 1000),
-        fail_fast=args.fail_fast,
-        cache_path=args.cache,
-        out_path=args.out,
-        fmt=args.format,
-    )
-    fields.update(overrides)
-    return RunConfig(**fields)
+    """The fields the subcommand's options set; the rest keep their defaults."""
+    names = {f.name for f in fields(RunConfig)}
+    given = {name: value for name, value in vars(args).items() if name in names}
+    return RunConfig(**{**given, **overrides})
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -152,7 +143,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     members = enumerate_partitions(args.n, args.k, max_vertices=args.max_vertices)
-    if args.format == "json":
+    if args.fmt == "json":
         payload = {
             "n": args.n,
             "k": args.k,
@@ -160,36 +151,36 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             "partitions": [list(p.parts) for p in members],
         }
         text = json.dumps(payload, indent=2) + "\n"
-    elif args.format == "csv":
+    elif args.fmt == "csv":
         text = "parts\n" + "\n".join(" ".join(map(str, p.parts)) for p in members) + "\n"
     else:
         text = "\n".join(str(p) for p in members) + ("\n" if members else "")
-    _emit(text, args.out)
+    _emit(text, args.out_path)
     return 0
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
     value = count_all(args.n) if args.k is None else count_partitions(args.n, args.k)
-    if args.format == "json":
+    if args.fmt == "json":
         text = json.dumps({"n": args.n, "k": args.k, "count": value}) + "\n"
     else:
         text = f"{value}\n"
-    _emit(text, args.out)
+    _emit(text, args.out_path)
     return 0
 
 
 def _cmd_max_family(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
     relation = Relation(args.relation)
+    config = _config_from_args(args, relation=relation)
     row = solve_instance(
         args.n, args.k, args.t, relation, config, None, uniqueness=args.uniqueness
     )
-    if args.format == "json":
+    if args.fmt == "json":
         text = json.dumps(asdict(row), indent=2) + "\n"
     else:
         pairs = ", ".join(f"{key}={value}" for key, value in asdict(row).items())
         text = pairs + "\n"
-    _emit(text, args.out)
+    _emit(text, args.out_path)
     return 0 if not row.is_counterexample else 1
 
 
@@ -228,12 +219,12 @@ def _cmd_ekr(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    cache = RowCache(args.cache)
+    cache = RowCache(args.cache_path)
     if args.action == "stats":
         sys.stdout.write(json.dumps(cache.stats(), indent=2) + "\n")
     else:
         cache.clear()
-        sys.stdout.write(f"cleared {args.cache}\n")
+        sys.stdout.write(f"cleared {args.cache_path}\n")
     return 0
 
 

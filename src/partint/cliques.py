@@ -71,9 +71,7 @@ from .partitions import (
     DEFAULT_MAX_VERTICES,
     Partition,
     ResourceGuardError,
-    enumerate_all,
 )
-from .stars import star_ids
 
 ENGINE_VERSION = "1"
 
@@ -762,33 +760,6 @@ def check_uniqueness(
             elapsed=time.perf_counter() - start,
         ) from None
     return True
-
-
-def max_family_all_lengths(
-    n: int,
-    t: int,
-    relation: Relation | str = Relation.MULTISET,
-    *,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    time_budget_secs: float = DEFAULT_TIME_BUDGET_SECS,
-    deterministic: bool = True,
-) -> SearchOutcome:
-    """Exact maximum t-intersecting subset of P(n), all lengths mixed.
-
-    Seeds with the appropriate star: first t parts equal to 1 for the
-    multiset relation, parts containing {1, ..., t} for the proper one.
-    """
-    relation = Relation(relation)
-    members = enumerate_all(n, max_vertices=max_vertices)
-    graph = build_graph(members, relation, t, max_vertices=max_vertices)
-    return max_family(
-        graph,
-        star=star_ids(members, relation, t),
-        node_budget=node_budget,
-        time_budget_secs=time_budget_secs,
-        deterministic=deterministic,
-    )
 
 
 # -- plain set systems (cross-validation ground truth) -----------------

@@ -19,9 +19,10 @@ also returned in report form so sweeps can display them.
 The fibre family is verified on plain tuples, one piece F_i at a time.
 A tuple sorts into P(n, k) exactly when it has k positive integer
 entries summing to n, so no member is turned into a ``Partition``.
-Every member of F_i starts with i, so a fibre class (sorted form, first
-entry) lies inside one piece, and counting sorted forms piece by piece
-bounds every class of the whole family.
+Every member of F_i starts with i, so the pieces are pairwise disjoint,
+|F| is the sum of the piece sizes, and a fibre class (sorted form,
+first entry) lies inside one piece; counting sorted forms piece by
+piece bounds every class of the whole family.  F itself is never kept.
 """
 
 from __future__ import annotations
@@ -129,7 +130,6 @@ class Lemma2Report:
     members_partition_n: bool
     fibre_bound_holds: bool     # at most k-1 members per (sorted form, first entry)
     inequality_holds: bool      # p(n, k) > c * p(n, k-1)
-    family: set[tuple[int, ...]]
 
     @property
     def all_assertions_hold(self) -> bool:
@@ -169,11 +169,12 @@ def lemma2_family(
 ) -> Lemma2Report:
     """Build and verify the fibre family F for n >= ck^3, k >= 3, c >= 1.
 
-    Stores F and verifies every assertion exhaustively, one piece at a
-    time on plain tuples: each F_i is built from the parts tuples of
-    P(n, k-1), checked by ``_piece_checks``, and tested for disjointness
-    from the pieces before it.  Only the p(n, k-1) base partitions are
-    ever built as ``Partition`` objects.  Raises ResourceGuardError when
+    Verifies every assertion exhaustively, one piece at a time on plain
+    tuples: each F_i is built from the parts tuples of P(n, k-1), checked
+    by ``_piece_checks``, and checked to start with i in every member,
+    which makes it disjoint from every other piece.  Only the p(n, k-1)
+    base partitions are ever built as ``Partition`` objects, and F is
+    never held whole.  Raises ResourceGuardError when
     |F| = ck^2 * p(n, k-1) exceeds ``materialize_limit``.
     """
     if k < 3 or c < 1:
@@ -201,7 +202,7 @@ def lemma2_family(
         rest, last = next(b for b in base if b[1] == smallest_last)
         member = (last,) + rest + (0,)
         raise ConstructionError(f"piece {last}: member {member} has a nonpositive entry")
-    family: set[tuple[int, ...]] = set()
+    family_size = 0
     pieces_disjoint = True
     members_ok = True
     fibres_ok = True
@@ -210,27 +211,25 @@ def lemma2_family(
         fi = {head + rest + (last - i,) for rest, last in base}
         if len(fi) != count_k1:
             raise ConstructionError(f"piece {i} has {len(fi)} members, not {count_k1}")
-        if not family.isdisjoint(fi):
-            pieces_disjoint = False
+        pieces_disjoint = pieces_disjoint and all(x[0] == i for x in fi)
         piece_members_ok, piece_fibres_ok = _piece_checks(fi, n, k)
         members_ok = members_ok and piece_members_ok
         fibres_ok = fibres_ok and piece_fibres_ok
-        family |= fi
+        family_size += len(fi)
 
     return Lemma2Report(
         n=n,
         k=k,
         c=c,
-        family_size=len(family),
+        family_size=family_size,
         expected_size=expected,
         count_k=count_k,
         count_k_minus_1=count_k1,
         pieces_disjoint=pieces_disjoint,
-        size_matches=len(family) == expected,
+        size_matches=family_size == expected,
         members_partition_n=members_ok,
         fibre_bound_holds=fibres_ok,
         inequality_holds=count_k > c * count_k1,
-        family=family,
     )
 
 

@@ -81,6 +81,8 @@ class RunConfig:
     Grid fields left as None take per-sweep defaults (see each
     verify_* function).  ``relation`` only matters for the t-sweeps;
     ``trials`` and ``seed`` only for the randomized cover-set suite.
+    The CLI sets only the fields a subcommand reads; the rest keep
+    their defaults, which reports still record in their ``config``.
     """
 
     n_min: int | None = None
@@ -164,17 +166,13 @@ class RowCache:
                     if version != ENGINE_VERSION:
                         self.stale += 1
                         continue
-                    self._rows[self._key(row.n, row.k, row.t, row.relation)] = row
-
-    @staticmethod
-    def _key(n: int, k: int | None, t: int, relation: str) -> tuple:
-        return (n, k, t, relation)
+                    self._rows[(row.n, row.k, row.t, row.relation)] = row
 
     def lookup(self, n: int, k: int | None, t: int, relation: str) -> SweepRow | None:
-        return self._rows.get(self._key(n, k, t, relation))
+        return self._rows.get((n, k, t, relation))
 
     def store(self, row: SweepRow) -> None:
-        key = self._key(row.n, row.k, row.t, row.relation)
+        key = (row.n, row.k, row.t, row.relation)
         if key in self._rows:
             return
         self._rows[key] = row
@@ -286,8 +284,18 @@ def solve_instance(
 # -- sweeps ----------------------------------------------------------------
 
 
-def _open_cache(config: RunConfig) -> RowCache | None:
-    return RowCache(config.cache_path) if config.cache_path else None
+def _sweep(config: RunConfig, keys, self_check) -> list[SweepRow]:
+    """Solve each (n, k, t, relation) key in order, self-checking every
+    row before it is kept; fail_fast stops after the first counterexample."""
+    cache = RowCache(config.cache_path) if config.cache_path else None
+    rows: list[SweepRow] = []
+    for n, k, t, relation in keys:
+        row = solve_instance(n, k, t, relation, config, cache)
+        self_check(row)
+        rows.append(row)
+        if row.is_counterexample and config.fail_fast:
+            break
+    return rows
 
 
 def verify_strong_form(config: RunConfig = RunConfig()) -> list[SweepRow]:
@@ -296,44 +304,36 @@ def verify_strong_form(config: RunConfig = RunConfig()) -> list[SweepRow]:
     Defaults: 2 <= k <= n <= 22, t = 1, multiset relation.  Self-checks
     the proven n <= 2k classification and the star size identity.
     """
-    n_lo, n_hi = config.n_min or 2, config.n_max or 22
-    cache = _open_cache(config)
-    rows: list[SweepRow] = []
-    for n in range(n_lo, n_hi + 1):
-        k_lo = max(2, config.k_min or 2)
-        k_hi = min(n, config.k_max or n)
-        for k in range(k_lo, k_hi + 1):
-            row = solve_instance(n, k, 1, Relation.MULTISET, config, cache)
-            rows.append(row)
-            if row.is_counterexample and config.fail_fast:
-                return rows
-    _strong_self_checks(rows)
-    return rows
+    keys = (
+        (n, k, 1, Relation.MULTISET)
+        for n in range(config.n_min or 2, (config.n_max or 22) + 1)
+        for k in range(max(2, config.k_min or 2), min(n, config.k_max or n) + 1)
+    )
+    return _sweep(config, keys, _strong_self_check)
 
 
-def _strong_self_checks(rows: list[SweepRow]) -> None:
-    for row in rows:
-        k = row.k
-        assert k is not None
-        if row.star_size != count_partitions(row.n - 1, k - 1):
-            raise HarnessSelfCheckError(
-                f"star size {row.star_size} at (n={row.n}, k={k}) is not "
-                f"p({row.n - 1}, {k - 1}) = {count_partitions(row.n - 1, k - 1)}"
-            )
-        if not row.conclusive or row.n > 2 * k:
-            continue
-        # Proven for n <= 2k: the star is maximum, uniquely so unless
-        # k in {2, 3} and n = 2k.
-        expected_unique = not (k <= 3 and row.n == 2 * k)
-        if not row.star_is_maximum:
-            raise HarnessSelfCheckError(
-                f"(n={row.n}, k={k}): star not maximum inside the proven range"
-            )
-        if row.unique != (Verdict.YES if expected_unique else Verdict.NO).value:
-            raise HarnessSelfCheckError(
-                f"(n={row.n}, k={k}): uniqueness {row.unique!r} contradicts the "
-                f"proven classification ({'unique' if expected_unique else 'not unique'})"
-            )
+def _strong_self_check(row: SweepRow) -> None:
+    k = row.k
+    assert k is not None
+    if row.star_size != count_partitions(row.n - 1, k - 1):
+        raise HarnessSelfCheckError(
+            f"star size {row.star_size} at (n={row.n}, k={k}) is not "
+            f"p({row.n - 1}, {k - 1}) = {count_partitions(row.n - 1, k - 1)}"
+        )
+    if not row.conclusive or row.n > 2 * k:
+        return
+    # Proven for n <= 2k: the star is maximum, uniquely so unless
+    # k in {2, 3} and n = 2k.
+    expected_unique = not (k <= 3 and row.n == 2 * k)
+    if not row.star_is_maximum:
+        raise HarnessSelfCheckError(
+            f"(n={row.n}, k={k}): star not maximum inside the proven range"
+        )
+    if row.unique != (Verdict.YES if expected_unique else Verdict.NO).value:
+        raise HarnessSelfCheckError(
+            f"(n={row.n}, k={k}): uniqueness {row.unique!r} contradicts the "
+            f"proven classification ({'unique' if expected_unique else 'not unique'})"
+        )
 
 
 def verify_weak_form(config: RunConfig = RunConfig()) -> list[SweepRow]:
@@ -341,20 +341,19 @@ def verify_weak_form(config: RunConfig = RunConfig()) -> list[SweepRow]:
 
     Defaults: 2 <= n <= 14, t = 1, multiset relation.
     """
-    n_lo, n_hi = config.n_min or 2, config.n_max or 14
-    cache = _open_cache(config)
-    rows: list[SweepRow] = []
-    for n in range(n_lo, n_hi + 1):
-        row = solve_instance(n, None, 1, Relation.MULTISET, config, cache)
-        if row.star_size != count_all(n - 1):
-            raise HarnessSelfCheckError(
-                f"all-lengths star size {row.star_size} at n={n} is not "
-                f"p({n - 1}) = {count_all(n - 1)}"
-            )
-        rows.append(row)
-        if row.is_counterexample and config.fail_fast:
-            return rows
-    return rows
+    keys = (
+        (n, None, 1, Relation.MULTISET)
+        for n in range(config.n_min or 2, (config.n_max or 14) + 1)
+    )
+    return _sweep(config, keys, _weak_self_check)
+
+
+def _weak_self_check(row: SweepRow) -> None:
+    if row.star_size != count_all(row.n - 1):
+        raise HarnessSelfCheckError(
+            f"all-lengths star size {row.star_size} at n={row.n} is not "
+            f"p({row.n - 1}) = {count_all(row.n - 1)}"
+        )
 
 
 def weak_strong_consistent(
@@ -385,28 +384,20 @@ def verify_t_conjectures(config: RunConfig = RunConfig()) -> list[SweepRow]:
     singleton families, and under the proper relation small n forces
     empty ones.
     """
-    t_lo, t_hi = config.t_min or 2, config.t_max or 3
-    cache = _open_cache(config)
     relation = Relation(config.relation)
-    rows: list[SweepRow] = []
-    for t in range(t_lo, t_hi + 1):
-        k_lo = max(t + 1, config.k_min or t + 1)
-        k_hi = config.k_max or 8
-        for k in range(k_lo, k_hi + 1):
-            n_lo = max(k, config.n_min or k)
-            n_hi = config.n_max or 22
-            for n in range(n_lo, n_hi + 1):
-                row = solve_instance(n, k, t, relation, config, cache)
-                _t_sweep_self_check(row, relation)
-                rows.append(row)
-                if row.is_counterexample and config.fail_fast:
-                    return rows
-    return rows
+    keys = (
+        (n, k, t, relation)
+        for t in range(config.t_min or 2, (config.t_max or 3) + 1)
+        for k in range(max(t + 1, config.k_min or t + 1), (config.k_max or 8) + 1)
+        for n in range(max(k, config.n_min or k), (config.n_max or 22) + 1)
+    )
+    return _sweep(config, keys, _t_sweep_self_check)
 
 
-def _t_sweep_self_check(row: SweepRow, relation: Relation) -> None:
+def _t_sweep_self_check(row: SweepRow) -> None:
     n, k, t = row.n, row.k, row.t
     assert k is not None
+    relation = Relation(row.relation)
     reduced_n = n - t if relation is Relation.MULTISET else n - t * (t + 1) // 2
     expected_star = count_partitions(reduced_n, k - t) if reduced_n >= 0 else 0
     if row.star_size != expected_star:
@@ -503,9 +494,16 @@ GENERATOR_NOTE = (
 @dataclass
 class SuiteResult:
     name: str
-    instances: int
-    passed: int
+    instances: int = 0
+    passed: int = 0
     failures: list[str] = field(default_factory=list)
+
+    def record(self, ok: bool, label: str) -> None:
+        self.instances += 1
+        if ok:
+            self.passed += 1
+        else:
+            self.failures.append(label)
 
     @property
     def failed(self) -> int:
@@ -562,38 +560,31 @@ def random_cover_instance(rng: random.Random):
 
 
 def _suite_padding(report: list[SuiteResult]) -> None:
-    injective = SuiteResult("padding_injection", 0, 0)
-    strict = SuiteResult("padding_strictness", 0, 0)
+    injective = SuiteResult("padding_injection")
+    strict = SuiteResult("padding_strictness")
     for k in range(3, 7):
         target = {}
         for m in range(k, 21):
             for n in range(m, 21):
                 label = f"(m={m}, n={n}, k={k})"
-                injective.instances += 1
                 mapping = lemma1_injection(m, n, k)
                 if n not in target:
                     target[n] = set(enumerate_partitions(n, k))
-                ok = (
+                injective.record(
                     len(mapping) == count_partitions(m, k)
                     and len(set(mapping.values())) == len(mapping)
-                    and all(b in target[n] for b in mapping.values())
+                    and all(b in target[n] for b in mapping.values()),
+                    label,
                 )
-                if ok:
-                    injective.passed += 1
-                else:
-                    injective.failures.append(label)
                 if not count_monotonicity_is_strict(m, n, k):
                     continue
-                strict.instances += 1
                 witness = lemma1_strictness_witness(n, k)
-                if (
+                strict.record(
                     witness in target[n]
                     and witness not in set(mapping.values())
-                    and count_partitions(m, k) < count_partitions(n, k)
-                ):
-                    strict.passed += 1
-                else:
-                    strict.failures.append(label)
+                    and count_partitions(m, k) < count_partitions(n, k),
+                    label,
+                )
     report.extend([injective, strict])
 
 
@@ -607,24 +598,19 @@ _FIBRE_ASSERTIONS = (
 
 
 def _suite_fibre(report: list[SuiteResult]) -> None:
-    suites = {name: SuiteResult(f"fibre_{name}", 0, 0) for name in _FIBRE_ASSERTIONS}
+    suites = {name: SuiteResult(f"fibre_{name}") for name in _FIBRE_ASSERTIONS}
     for k in (3, 4):
         for c in (1, 2):
             for offset in (0, 1, 7):
                 n = c * k**3 + offset
                 fibre = lemma2_family(n, k, c)
                 for name in _FIBRE_ASSERTIONS:
-                    suite = suites[name]
-                    suite.instances += 1
-                    if getattr(fibre, name):
-                        suite.passed += 1
-                    else:
-                        suite.failures.append(f"(n={n}, k={k}, c={c})")
+                    suites[name].record(getattr(fibre, name), f"(n={n}, k={k}, c={c})")
     report.extend(suites.values())
 
 
 def _suite_cover(report: list[SuiteResult], seed: int, trials: int) -> None:
-    suite = SuiteResult("cover_sets", 0, 0)
+    suite = SuiteResult("cover_sets")
     rng = random.Random(seed)
     attempts = 0
     while suite.instances < trials:
@@ -635,25 +621,21 @@ def _suite_cover(report: list[SuiteResult], seed: int, trials: int) -> None:
         if candidate is None:
             continue
         family, t, r = candidate
-        suite.instances += 1
         cover = lemma3_cover(family, t, r)
         # Independent brute-force recheck of the two guarantees.
-        if len(cover.cover) <= 3 * r - 2 * t - 1 and all(
-            len(a & cover.cover) >= t + 1 for a in family
-        ):
-            suite.passed += 1
-        else:
-            suite.failures.append(f"seed attempt {attempts}: t={t}, r={r}")
+        suite.record(
+            len(cover.cover) <= 3 * r - 2 * t - 1
+            and all(len(a & cover.cover) >= t + 1 for a in family),
+            f"seed attempt {attempts}: t={t}, r={r}",
+        )
     report.append(suite)
 
 
 def _suite_boundary(report: list[SuiteResult]) -> None:
-    suite = SuiteResult("boundary_witnesses", 0, 0)
+    suite = SuiteResult("boundary_witnesses")
     cases = [(2 * k, k, 1) for k in range(2, 9)]
     cases += [(2 * k - t + 1, k, t) for t in range(2, 5) for k in range(t + 1, 9)]
     for n, k, t in cases:
-        suite.instances += 1
-        label = f"(n={n}, k={k}, t={t})"
         witnesses = proposition_witnesses(n, k, t)
         ok = all(p.n == n and p.k == k for p in witnesses.values())
         if t == 1:
@@ -665,10 +647,7 @@ def _suite_boundary(report: list[SuiteResult]) -> None:
             ok = ok and shared == t - 1 and not t_intersects(
                 witnesses["a"], witnesses["b"], t
             )
-        if ok:
-            suite.passed += 1
-        else:
-            suite.failures.append(label)
+        suite.record(ok, f"(n={n}, k={k}, t={t})")
     report.append(suite)
 
 

@@ -1,11 +1,64 @@
 """End-to-end command-line behavior, including exit codes."""
 
+import argparse
 import hashlib
 import json
 
+import pytest
+
 from partint import harness
-from partint.cli import main
+from partint.cli import build_parser, main
 from partint.harness import ROW_FIELDS
+
+OUTPUT = {"--format", "--out"}
+SEARCH = {"--max-vertices", "--node-budget", "--time-budget-secs", "--deterministic"}
+GRID = {"--n-min", "--n-max", "--k-min", "--k-max", "--t-min", "--t-max"}
+
+
+class TestOptionSets:
+    """Each subcommand accepts exactly the options its handler reads."""
+
+    EXPECTED = {
+        "enumerate": {"--max-vertices"} | OUTPUT,
+        "count": OUTPUT,
+        "max-family": {"--n", "--k", "--t", "--relation", "--uniqueness"} | SEARCH | OUTPUT,
+        "verify": GRID | SEARCH | OUTPUT | {"--cache", "--fail-fast"},
+        "lemmas": {"--trials", "--seed"} | OUTPUT,
+        "ekr-check": GRID | SEARCH | OUTPUT,
+        "cache": {"--cache"},
+    }
+
+    def test_option_strings_are_pinned(self):
+        (subparsers,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        found = {
+            name: {
+                action.option_strings[0]
+                for action in parser._actions
+                if action.option_strings and action.dest != "help"
+            }
+            for name, parser in subparsers.choices.items()
+        }
+        assert found == self.EXPECTED
+        assert sum(len(options) for options in found.values()) == 47
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["max-family", "--n", "10", "--k", "3", "--cache", "x"],
+            ["lemmas", "--trials", "5", "--node-budget", "1"],
+            ["ekr-check", "--n-max", "4", "--fail-fast"],
+            ["count", "5", "--max-vertices", "9"],
+        ],
+    )
+    def test_unread_options_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCountAndEnumerate:

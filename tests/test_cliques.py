@@ -19,6 +19,7 @@ from partint import (
     Partition,
     Relation,
     ResourceGuardError,
+    RunConfig,
     SearchBudgetExceeded,
     SetFamilyInstance,
     build_graph,
@@ -29,10 +30,10 @@ from partint import (
     enumerate_all,
     enumerate_partitions,
     max_family,
-    max_family_all_lengths,
     max_family_set_system,
     multiset_common_count,
     properly_t_intersects,
+    solve_instance,
     t_intersects,
     witness_digest,
 )
@@ -521,9 +522,9 @@ class TestSeedValidationAndBudgets:
         assert sys.getrecursionlimit() == default_recursion_limit
 
     def test_all_lengths_entry_point(self):
-        out = max_family_all_lengths(8, 1)
-        assert out.max_size == count_all(7) == 15
-        assert out.star_is_maximum
+        row = solve_instance(8, None, 1, Relation.MULTISET, RunConfig())
+        assert row.max_size == count_all(7) == 15
+        assert row.star_is_maximum
 
     def test_clique_deeper_than_the_recursion_limit(self, default_recursion_limit):
         # on K_1200 the search descends 1,200 frames deep

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from partint import Partition, Relation
+from partint import Partition, Relation, harness
 from partint.cliques import ENGINE_VERSION
 from partint.harness import (
     GENERATOR_NOTE,
@@ -28,7 +28,7 @@ from partint.harness import (
     weak_strong_consistent,
     witness_digest,
 )
-from partint.harness import _strong_self_checks
+from partint.harness import _strong_self_check
 
 
 def make_row(**overrides):
@@ -109,7 +109,7 @@ class TestRowCache:
         cache = RowCache(path)
         first = solve_instance(9, 3, 1, Relation.MULTISET, RunConfig(), cache)
         poisoned = dataclasses.replace(first, max_size=99)
-        cache._rows[cache._key(9, 3, 1, "multiset")] = poisoned
+        cache._rows[(9, 3, 1, "multiset")] = poisoned
         assert solve_instance(9, 3, 1, Relation.MULTISET, RunConfig(), cache) == poisoned
 
     def test_stale_engine_version_ignored(self, tmp_path):
@@ -173,6 +173,15 @@ class TestSweeps:
         assert rows[-1].is_counterexample
         assert (rows[-1].n, rows[-1].k) == (8, 3)
 
+    def test_fail_fast_still_self_checks_the_last_row(self, monkeypatch):
+        # a counterexample row whose star is p(1, 1) + 1 = 2 at (2, 2)
+        bad = make_row(n=2, k=2, star_size=2, max_size=3, star_is_maximum=False)
+        monkeypatch.setattr(harness, "solve_instance", lambda *args, **kwargs: bad)
+        with pytest.raises(HarnessSelfCheckError):
+            verify_strong_form(RunConfig(n_max=2))
+        with pytest.raises(HarnessSelfCheckError):
+            verify_strong_form(RunConfig(n_max=2, fail_fast=True))
+
     def test_weak_rows_match_star_table(self, weak_sweep):
         for row in weak_sweep.rows:
             assert row.max_size == row.star_size
@@ -186,17 +195,17 @@ class TestSweeps:
 
     def test_self_check_rejects_bad_star_size(self):
         with pytest.raises(HarnessSelfCheckError):
-            _strong_self_checks([make_row(star_size=5)])
+            _strong_self_check(make_row(star_size=5))
 
     def test_self_check_rejects_violation_in_proven_range(self):
         bad = make_row(n=8, k=4, star_size=4, max_size=5, star_is_maximum=False)
         with pytest.raises(HarnessSelfCheckError):
-            _strong_self_checks([bad])
+            _strong_self_check(bad)
 
     def test_self_check_rejects_wrong_uniqueness_classification(self):
         bad = make_row(n=6, k=3, star_size=2, max_size=2, unique="yes")
         with pytest.raises(HarnessSelfCheckError):
-            _strong_self_checks([bad])
+            _strong_self_check(bad)
 
     def test_summarize_counts(self):
         rows = [
