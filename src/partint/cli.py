@@ -1,9 +1,11 @@
 """Command-line interface for the exact-search library.
 
 Subcommands: enumerate, count, max-family, verify, lemmas, ekr-check,
-cache.  Reports go to stdout or --out in json, csv or table form; the
+cache.  Reports go to stdout or --out in json or table form, and in csv
+form too for enumerate and the sweeps (verify and ekr-check); the
 process exits nonzero when a sweep finds counterexamples or a suite
-fails, so the harness can gate on the shell status.
+fails, so the harness can gate on the shell status.  Every sweep is one
+entry of _SWEEPS and takes only the grid options its runner reads.
 """
 
 from __future__ import annotations
@@ -37,10 +39,21 @@ from .harness import (
 from .partitions import DEFAULT_MAX_VERTICES, count_all, count_partitions, enumerate_partitions
 
 
+# Each sweep: (runner, summariser, grid axes it reads, RunConfig overrides).
+# ekr-check is a subcommand of its own; the others are modes of verify.
+_SWEEPS = {
+    "strong": (verify_strong_form, summarize_rows, "nk", {}),
+    "weak": (verify_weak_form, summarize_rows, "n", {}),
+    "t-multiset": (verify_t_conjectures, summarize_rows, "nkt", {"relation": Relation.MULTISET}),
+    "t-proper": (verify_t_conjectures, summarize_rows, "nkt", {"relation": Relation.PROPER}),
+    "ekr-check": (cross_validate_ekr, summarize_ekr_rows, "nkt", {}),
+}
+
+
 # Option dests are RunConfig field names, so _config_from_args can pick them up.
-def _add_output_options(parser: argparse.ArgumentParser) -> None:
-    formats = ("json", "csv", "table")
-    parser.add_argument("--format", dest="fmt", choices=formats, default="table")
+def _add_output_options(parser: argparse.ArgumentParser, *formats: str) -> None:
+    choices = ("json", *formats, "table")
+    parser.add_argument("--format", dest="fmt", choices=choices, default="table")
     parser.add_argument("--out", dest="out_path", metavar="PATH")
 
 
@@ -56,11 +69,6 @@ def _add_search_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_grid_options(parser: argparse.ArgumentParser) -> None:
-    for name in ("n-min", "n-max", "k-min", "k-max", "t-min", "t-max"):
-        parser.add_argument(f"--{name}", type=int)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="partint",
@@ -72,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("n", type=int)
     p_enum.add_argument("k", type=int)
     p_enum.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
-    _add_output_options(p_enum)
+    _add_output_options(p_enum, "csv")
 
     p_count = sub.add_parser("count", help="p(n, k), or p(n) when k is omitted")
     p_count.add_argument("n", type=int)
@@ -98,26 +106,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(p_max)
 
     p_verify = sub.add_parser("verify", help="sweep a grid and report star vs maximum")
-    p_verify.add_argument(
-        "mode", choices=("strong", "weak", "t-multiset", "t-proper")
-    )
-    _add_grid_options(p_verify)
-    _add_search_options(p_verify)
-    _add_output_options(p_verify)
-    p_verify.add_argument("--cache", dest="cache_path", metavar="PATH")
-    p_verify.add_argument("--fail-fast", action="store_true")
+    modes = p_verify.add_subparsers(dest="mode", required=True)
 
     p_lemmas = sub.add_parser("lemmas", help="run the construction suites")
     p_lemmas.add_argument("--trials", type=int, default=1000)
     p_lemmas.add_argument("--seed", type=int, default=0)
     _add_output_options(p_lemmas)
 
-    p_ekr = sub.add_parser(
-        "ekr-check", help="cross-validate the engine on set-system ground truth"
-    )
-    _add_grid_options(p_ekr)
-    _add_search_options(p_ekr)
-    _add_output_options(p_ekr)
+    for name, (_, _, axes, _) in _SWEEPS.items():
+        is_mode = name != "ekr-check"
+        p_sweep = modes.add_parser(name) if is_mode else sub.add_parser(
+            name, help="cross-validate the engine on set-system ground truth"
+        )
+        p_sweep.set_defaults(sweep=name)
+        for axis in axes:
+            p_sweep.add_argument(f"--{axis}-min", type=int)
+            p_sweep.add_argument(f"--{axis}-max", type=int)
+        _add_search_options(p_sweep)
+        _add_output_options(p_sweep, "csv")
+        if is_mode:  # only verify_* sweeps go through the row cache and fail_fast
+            p_sweep.add_argument("--cache", dest="cache_path", metavar="PATH")
+            p_sweep.add_argument("--fail-fast", action="store_true")
 
     p_cache = sub.add_parser("cache", help="inspect or clear a row cache")
     p_cache.add_argument("action", choices=("stats", "clear"))
@@ -184,17 +193,11 @@ def _cmd_max_family(args: argparse.Namespace) -> int:
     return 0 if not row.is_counterexample else 1
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    runners = {
-        "strong": (verify_strong_form, {}),
-        "weak": (verify_weak_form, {}),
-        "t-multiset": (verify_t_conjectures, {"relation": Relation.MULTISET}),
-        "t-proper": (verify_t_conjectures, {"relation": Relation.PROPER}),
-    }
-    runner, overrides = runners[args.mode]
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    runner, summarise, _, overrides = _SWEEPS[args.sweep]
     config = _config_from_args(args, **overrides)
     rows = runner(config)
-    summary = summarize_rows(rows)
+    summary = summarise(rows)
     _emit(render_rows(config, rows, summary), config.out_path)
     return 0 if summary["refuted"] == 0 else 1
 
@@ -208,14 +211,6 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
         text = suite_report_to_table(report)
     _emit(text, config.out_path)
     return 0 if report.all_passed else 1
-
-
-def _cmd_ekr(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    rows = cross_validate_ekr(config)
-    summary = summarize_ekr_rows(rows)
-    _emit(render_rows(config, rows, summary), config.out_path)
-    return 0 if summary["refuted"] == 0 else 1
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -234,9 +229,9 @@ def main(argv: list[str] | None = None) -> int:
         "enumerate": _cmd_enumerate,
         "count": _cmd_count,
         "max-family": _cmd_max_family,
-        "verify": _cmd_verify,
+        "verify": _cmd_sweep,
         "lemmas": _cmd_lemmas,
-        "ekr-check": _cmd_ekr,
+        "ekr-check": _cmd_sweep,
         "cache": _cmd_cache,
     }
     try:

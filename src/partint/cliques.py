@@ -121,6 +121,10 @@ class IntersectionGraph:
     order).  ``adjacency[v]`` is a bitmask of neighbours; ``eligible``
     masks the vertices that relate to themselves and may appear in any
     family.  Ineligible vertices are always isolated.
+
+    ``_root_classes`` is left by ``max_family`` for ``check_uniqueness``:
+    seed size -> the class id lists of the root colouring of the eligible
+    vertices when it has exactly that many classes, else None.
     """
 
     partitions: list[Partition]
@@ -129,13 +133,11 @@ class IntersectionGraph:
     adjacency: list[int]
     eligible: int
     _index: dict[Partition, int] = field(default_factory=dict, repr=False)
+    _root_classes: dict[int, list[list[int]] | None] = field(default_factory=dict, repr=False)
 
     @property
     def n_vertices(self) -> int:
         return len(self.partitions)
-
-    def degree(self, v: int) -> int:
-        return self.adjacency[v].bit_count()
 
     def vertex_ids(self, family) -> list[int]:
         """Canonical ids of the given partitions, sorted ascending."""
@@ -664,7 +666,7 @@ def max_family(
     deterministic=True the witness is the lexicographically smallest
     maximum family.
     """
-    return _solve(
+    outcome = _solve(
         graph.adjacency,
         graph.eligible,
         star,
@@ -673,6 +675,12 @@ def max_family(
         time_budget_secs=time_budget_secs,
         deterministic=deterministic,
     )
+    # The root colouring was tight for the seed exactly when its bound is
+    # the seed size; then it closed the instance and is colour_classes.
+    seed_size = len(star or ())
+    tight = outcome.upper_bound_at_root == seed_size
+    graph._root_classes[seed_size] = outcome.colour_classes if tight else None
+    return outcome
 
 
 def check_colour_certificate(
@@ -723,7 +731,8 @@ def check_uniqueness(
     from each class, so a vertex in one must lie in each class or have a
     neighbour in it: only vertices of ``eligible & AND_C (cover(C) | C)``,
     where cover(C) is the union of the neighbourhoods of C's members,
-    are searched.
+    are searched.  When ``max_family`` seeded with a family of max_size
+    members has already coloured ``graph``, its colouring is reused.
     """
     if len(star_ids) != max_size:
         raise ValueError("uniqueness needs the star to attain the maximum")
@@ -735,9 +744,13 @@ def check_uniqueness(
     start = time.perf_counter()
     adjacency, eligible = graph.adjacency, graph.eligible
     outside = eligible & ~star_mask
-    classes, _, ids = _root_colouring(adjacency, eligible, max_size)
-    if len(classes) == max_size:
-        for members in _class_ids(classes, ids):
+    if max_size in graph._root_classes:
+        tight_classes = graph._root_classes[max_size]
+    else:
+        classes, _, ids = _root_colouring(adjacency, eligible, max_size)
+        tight_classes = _class_ids(classes, ids) if len(classes) == max_size else None
+    if tight_classes is not None:
+        for members in tight_classes:
             reach = 0
             for v in members:
                 reach |= adjacency[v] | (1 << v)

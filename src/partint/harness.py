@@ -284,6 +284,11 @@ def solve_instance(
 # -- sweeps ----------------------------------------------------------------
 
 
+def _given(bound: int | None, default: int) -> int:
+    """A grid bound as set, or its default when unset; an explicit 0 is kept."""
+    return default if bound is None else bound
+
+
 def _sweep(config: RunConfig, keys, self_check) -> list[SweepRow]:
     """Solve each (n, k, t, relation) key in order, self-checking every
     row before it is kept; fail_fast stops after the first counterexample."""
@@ -306,8 +311,8 @@ def verify_strong_form(config: RunConfig = RunConfig()) -> list[SweepRow]:
     """
     keys = (
         (n, k, 1, Relation.MULTISET)
-        for n in range(config.n_min or 2, (config.n_max or 22) + 1)
-        for k in range(max(2, config.k_min or 2), min(n, config.k_max or n) + 1)
+        for n in range(_given(config.n_min, 2), _given(config.n_max, 22) + 1)
+        for k in range(max(2, _given(config.k_min, 2)), min(n, _given(config.k_max, n)) + 1)
     )
     return _sweep(config, keys, _strong_self_check)
 
@@ -343,7 +348,7 @@ def verify_weak_form(config: RunConfig = RunConfig()) -> list[SweepRow]:
     """
     keys = (
         (n, None, 1, Relation.MULTISET)
-        for n in range(config.n_min or 2, (config.n_max or 14) + 1)
+        for n in range(max(1, _given(config.n_min, 2)), _given(config.n_max, 14) + 1)
     )
     return _sweep(config, keys, _weak_self_check)
 
@@ -387,9 +392,9 @@ def verify_t_conjectures(config: RunConfig = RunConfig()) -> list[SweepRow]:
     relation = Relation(config.relation)
     keys = (
         (n, k, t, relation)
-        for t in range(config.t_min or 2, (config.t_max or 3) + 1)
-        for k in range(max(t + 1, config.k_min or t + 1), (config.k_max or 8) + 1)
-        for n in range(max(k, config.n_min or k), (config.n_max or 22) + 1)
+        for t in range(max(1, _given(config.t_min, 2)), _given(config.t_max, 3) + 1)
+        for k in range(max(t + 1, _given(config.k_min, t + 1)), _given(config.k_max, 8) + 1)
+        for n in range(max(k, _given(config.n_min, k)), _given(config.n_max, 22) + 1)
     )
     return _sweep(config, keys, _t_sweep_self_check)
 
@@ -425,58 +430,59 @@ def cross_validate_ekr(config: RunConfig = RunConfig()) -> list[SweepRow]:
     Ground truth for the engine: the maximum is the Ahlswede-Khachatrian
     value (``SetFamilyInstance.ak_maximum``), which is C(n-t, r-t), the
     t-star, exactly when n >= (r-t+1)(t+1).  Any disagreement raises
-    HarnessSelfCheckError.
+    HarnessSelfCheckError.  A search that runs out of budget gives an
+    inconclusive row (star_is_maximum None, its lower bound and partial
+    witness), which is not checked against that value.
     Defaults: t in {1, 2}, t <= r <= 4, r <= n <= 12.
     """
-    t_lo, t_hi = config.t_min or 1, config.t_max or 2
-    n_hi = config.n_max or 12
-    rows: list[SweepRow] = []
-    for t in range(t_lo, t_hi + 1):
-        r_lo = max(t, config.k_min or t)
-        r_hi = config.k_max or 4
-        for r in range(r_lo, r_hi + 1):
-            for n in range(max(r, config.n_min or r), n_hi + 1):
-                if comb(n, r) > config.max_vertices:
-                    continue
-                instance = SetFamilyInstance(n, r, t)
-                start = time.perf_counter()
-                outcome = max_family_set_system(
-                    instance,
-                    max_vertices=config.max_vertices,
-                    node_budget=config.node_budget,
-                    time_budget_secs=config.time_budget_secs,
-                    deterministic=config.deterministic,
-                )
-                if outcome.star_size != instance.star_size:
-                    raise HarnessSelfCheckError(
-                        f"set-system star at (n={n}, r={r}, t={t}) has size "
-                        f"{outcome.star_size}, expected C({n - t}, {r - t})"
-                    )
-                if outcome.max_size != instance.ak_maximum:
-                    raise HarnessSelfCheckError(
-                        f"(n={n}, r={r}, t={t}): max {outcome.max_size} != "
-                        f"Ahlswede-Khachatrian maximum {instance.ak_maximum}"
-                    )
-                members = list(combinations(range(1, n + 1), r))
-                rows.append(
-                    SweepRow(
-                        n=n,
-                        k=r,
-                        t=t,
-                        relation="sets",
-                        star_size=outcome.star_size,
-                        max_size=outcome.max_size,
-                        star_is_maximum=outcome.star_is_maximum,
-                        unique=Verdict.NOT_COMPUTED.value,
-                        witness_digest=witness_digest(
-                            ".".join(map(str, members[v])) for v in outcome.witness
-                        ),
-                        elapsed=0.0
-                        if config.deterministic
-                        else round(time.perf_counter() - start, 3),
-                    )
-                )
-    return rows
+    keys = (
+        (n, r, t)
+        for t in range(max(1, _given(config.t_min, 1)), _given(config.t_max, 2) + 1)
+        for r in range(max(t, _given(config.k_min, t)), _given(config.k_max, 4) + 1)
+        for n in range(max(r, _given(config.n_min, r)), _given(config.n_max, 12) + 1)
+    )
+    return [_ekr_row(n, r, t, config) for n, r, t in keys if comb(n, r) <= config.max_vertices]
+
+
+def _ekr_row(n: int, r: int, t: int, config: RunConfig) -> SweepRow:
+    instance = SetFamilyInstance(n, r, t)
+    start = time.perf_counter()
+    try:
+        outcome = max_family_set_system(
+            instance,
+            max_vertices=config.max_vertices,
+            node_budget=config.node_budget,
+            time_budget_secs=config.time_budget_secs,
+            deterministic=config.deterministic,
+        )
+        star_size, max_size, witness = outcome.star_size, outcome.max_size, outcome.witness
+        star_is_maximum = outcome.star_is_maximum
+    except SearchBudgetExceeded as partial:
+        star_size, max_size, witness = instance.star_size, partial.lower_bound, partial.witness
+        star_is_maximum = None
+    if star_size != instance.star_size:
+        raise HarnessSelfCheckError(
+            f"set-system star at (n={n}, r={r}, t={t}) has size "
+            f"{star_size}, expected C({n - t}, {r - t})"
+        )
+    if star_is_maximum is not None and max_size != instance.ak_maximum:
+        raise HarnessSelfCheckError(
+            f"(n={n}, r={r}, t={t}): max {max_size} != "
+            f"Ahlswede-Khachatrian maximum {instance.ak_maximum}"
+        )
+    members = list(combinations(range(1, n + 1), r))
+    return SweepRow(
+        n=n,
+        k=r,
+        t=t,
+        relation="sets",
+        star_size=star_size,
+        max_size=max_size,
+        star_is_maximum=star_is_maximum,
+        unique=Verdict.NOT_COMPUTED.value,
+        witness_digest=witness_digest(".".join(map(str, members[v])) for v in witness),
+        elapsed=0.0 if config.deterministic else round(time.perf_counter() - start, 3),
+    )
 
 
 # -- lemma suites -----------------------------------------------------------
@@ -680,15 +686,17 @@ def summarize_rows(rows: list[SweepRow]) -> dict:
 
 
 def summarize_ekr_rows(rows: list[SweepRow]) -> dict:
-    """verified = row matches the Ahlswede-Khachatrian maximum exactly."""
+    """verified = a conclusive row matches the Ahlswede-Khachatrian maximum
+    exactly; refuted = it does not; inconclusive = out of budget."""
+    conclusive = [row for row in rows if row.conclusive]
     verified = sum(
-        row.max_size == SetFamilyInstance(row.n, row.k, row.t).ak_maximum for row in rows
+        row.max_size == SetFamilyInstance(row.n, row.k, row.t).ak_maximum for row in conclusive
     )
     return {
         "instances": len(rows),
         "verified": verified,
-        "refuted": len(rows) - verified,
-        "inconclusive": 0,
+        "refuted": len(conclusive) - verified,
+        "inconclusive": len(rows) - len(conclusive),
     }
 
 

@@ -12,38 +12,66 @@ from partint.harness import ROW_FIELDS
 
 OUTPUT = {"--format", "--out"}
 SEARCH = {"--max-vertices", "--node-budget", "--time-budget-secs", "--deterministic"}
-GRID = {"--n-min", "--n-max", "--k-min", "--k-max", "--t-min", "--t-max"}
+N, K, T = ({f"--{axis}-min", f"--{axis}-max"} for axis in "nkt")
+SWEEP = SEARCH | OUTPUT
+VERIFY = SWEEP | {"--cache", "--fail-fast"}
+
+
+def all_parsers():
+    """Every subcommand's parser and every verify mode's, by command path."""
+    found = {}
+
+    def walk(prefix, parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, child in action.choices.items():
+                    found[prefix + name] = child
+                    walk(prefix + name + " ", child)
+
+    walk("", build_parser())
+    return found
 
 
 class TestOptionSets:
-    """Each subcommand accepts exactly the options its handler reads."""
+    """Each subcommand and verify mode accepts exactly the options it reads."""
 
     EXPECTED = {
         "enumerate": {"--max-vertices"} | OUTPUT,
         "count": OUTPUT,
         "max-family": {"--n", "--k", "--t", "--relation", "--uniqueness"} | SEARCH | OUTPUT,
-        "verify": GRID | SEARCH | OUTPUT | {"--cache", "--fail-fast"},
+        "verify": set(),
+        "verify strong": N | K | VERIFY,
+        "verify weak": N | VERIFY,
+        "verify t-multiset": N | K | T | VERIFY,
+        "verify t-proper": N | K | T | VERIFY,
         "lemmas": {"--trials", "--seed"} | OUTPUT,
-        "ekr-check": GRID | SEARCH | OUTPUT,
+        "ekr-check": N | K | T | SWEEP,
         "cache": {"--cache"},
+    }
+    WRITES_CSV = {"enumerate", "ekr-check"} | {
+        f"verify {mode}" for mode in ("strong", "weak", "t-multiset", "t-proper")
     }
 
     def test_option_strings_are_pinned(self):
-        (subparsers,) = [
-            action
-            for action in build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        ]
         found = {
             name: {
                 action.option_strings[0]
                 for action in parser._actions
                 if action.option_strings and action.dest != "help"
             }
-            for name, parser in subparsers.choices.items()
+            for name, parser in all_parsers().items()
         }
         assert found == self.EXPECTED
-        assert sum(len(options) for options in found.values()) == 47
+
+    def test_csv_is_offered_only_where_it_is_written(self):
+        offered = {
+            name: set(action.choices)
+            for name, parser in all_parsers().items()
+            for action in parser._actions
+            if action.dest == "fmt"
+        }
+        assert {name for name, choices in offered.items() if "csv" in choices} == self.WRITES_CSV
+        assert all(choices - {"csv"} == {"json", "table"} for choices in offered.values())
 
     @pytest.mark.parametrize(
         "argv",
@@ -52,6 +80,9 @@ class TestOptionSets:
             ["lemmas", "--trials", "5", "--node-budget", "1"],
             ["ekr-check", "--n-max", "4", "--fail-fast"],
             ["count", "5", "--max-vertices", "9"],
+            # grid options a verify mode never reads
+            "verify strong --n-max 4 --t-min 9 --t-max 9 --format csv".split(),
+            "verify weak --n-max 4 --k-max 1 --t-min 9 --format csv".split(),
         ],
     )
     def test_unread_options_are_rejected(self, argv, capsys):
@@ -59,6 +90,20 @@ class TestOptionSets:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lemmas", "--trials", "5", "--format", "csv"],
+            ["count", "9", "2", "--format", "csv"],
+            ["max-family", "--n", "10", "--k", "3", "--format", "csv"],
+        ],
+    )
+    def test_csv_is_rejected_where_nothing_writes_it(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 class TestCountAndEnumerate:
@@ -204,6 +249,22 @@ class TestVerify:
         refuted = [r for r in payload["rows"] if r["star_is_maximum"] is False]
         assert [(r["n"], r["k"], r["t"]) for r in refuted] == [(9, 4, 2)]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "weak", "--n-min", "3", "--n-max", "0"],
+            ["verify", "strong", "--n-max", "6", "--k-max", "0"],
+            ["verify", "t-proper", "--n-max", "8", "--t-max", "0"],
+            ["ekr-check", "--n-max", "0"],
+        ],
+    )
+    def test_explicit_zero_bound_gives_an_empty_grid(self, argv, tmp_path):
+        out = tmp_path / "empty.json"
+        assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["rows"] == []
+        assert payload["summary"]["instances"] == 0
+
     def test_csv_format_column_contract(self, tmp_path):
         out = tmp_path / "rows.csv"
         code = main(
@@ -280,6 +341,18 @@ class TestLemmasAndSetSystems:
         assert code == 0
         assert payload["summary"]["refuted"] == 0
         assert all(r["relation"] == "sets" for r in payload["rows"])
+
+
+    def test_ekr_check_keeps_rows_when_the_budget_runs_out(self, capsys):
+        code = main(["ekr-check", "--n-max", "6", "--node-budget", "1", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        rows, summary = payload["rows"], payload["summary"]
+        inconclusive = [r for r in rows if r["star_is_maximum"] is None]
+        assert len(rows) == summary["instances"] == 30
+        assert len(inconclusive) == summary["inconclusive"] == 14
+        assert summary["verified"] == 16 and summary["refuted"] == 0
+        assert all(r["max_size"] == r["star_size"] for r in inconclusive)
 
 
 class TestCacheCommands:

@@ -827,6 +827,49 @@ class TestUniquenessFilter:
             assert case.calls == Counter(), n
 
 
+class TestRootColouringReuse:
+    """check_uniqueness reads the root colouring max_family left on the graph."""
+
+    def test_one_permute_for_max_family_and_uniqueness(self, monkeypatch):
+        # multiset (40,5,1): only the degree-ordered root colouring is tight
+        members = enumerate_partitions(40, 5)
+        graph = build_graph(members, "multiset", 1)
+        star = star_ids(members, "multiset", 1)
+        calls = []
+        real = cliques._permute
+        monkeypatch.setattr(cliques, "_permute", lambda *args: calls.append(1) or real(*args))
+        out = max_family(graph, star=star)
+        assert check_uniqueness(graph, star, out.max_size) is True
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "n, k, t, relation, category, unique",
+        [
+            (12, 5, 1, "multiset", "id order", True),
+            (10, 3, 1, "multiset", "degree order", False),
+            (20, 4, 2, "proper", "neither", False),
+            (8, 3, 1, "multiset", "neither", None),  # star 3 beaten by 4
+        ],
+    )
+    def test_kept_colouring_is_the_one_uniqueness_computes(
+        self, n, k, t, relation, category, unique
+    ):
+        members = enumerate_partitions(n, k)
+        graph = build_graph(members, relation, t)
+        star = star_ids(members, relation, t)
+        out = max_family(graph, star=star)
+        size = len(star)
+        assert colouring_category(graph.adjacency, graph.eligible, size) == category
+        classes, _, ids = cliques._root_colouring(graph.adjacency, graph.eligible, size)
+        tight = cliques._class_ids(classes, ids) if len(classes) == size else None
+        assert graph._root_classes == {size: tight}
+        if unique is not None:
+            # a graph max_family never saw computes the colouring itself
+            fresh = build_graph(members, relation, t)
+            assert check_uniqueness(fresh, star, out.max_size) is unique
+            assert check_uniqueness(graph, star, out.max_size) is unique
+
+
 @pytest.fixture(scope="module")
 def cap_instances():
     """Multiset (84,5,1) and (60,5,1): max_family and check_uniqueness under call counters.

@@ -14,6 +14,7 @@ from partint.harness import (
     RowCache,
     RunConfig,
     SweepRow,
+    cross_validate_ekr,
     render_rows,
     rows_to_csv,
     rows_to_json,
@@ -24,6 +25,7 @@ from partint.harness import (
     summarize_ekr_rows,
     summarize_rows,
     verify_strong_form,
+    verify_t_conjectures,
     verify_weak_form,
     weak_strong_consistent,
     witness_digest,
@@ -182,6 +184,48 @@ class TestSweeps:
         with pytest.raises(HarnessSelfCheckError):
             verify_strong_form(RunConfig(n_max=2, fail_fast=True))
 
+    @pytest.mark.parametrize(
+        "runner, config",
+        [
+            (verify_strong_form, RunConfig(n_max=0)),
+            (verify_strong_form, RunConfig(n_max=6, k_max=0)),
+            (verify_weak_form, RunConfig(n_min=3, n_max=0)),
+            (verify_t_conjectures, RunConfig(n_max=8, k_max=4, t_max=0)),
+            (verify_t_conjectures, RunConfig(n_max=0, k_max=4)),
+            (cross_validate_ekr, RunConfig(n_max=0)),
+            (cross_validate_ekr, RunConfig(n_max=5, k_max=0)),
+            (cross_validate_ekr, RunConfig(n_max=5, t_max=0)),
+        ],
+    )
+    def test_explicit_zero_upper_bound_gives_an_empty_grid(self, runner, config):
+        assert runner(config) == []
+
+    def test_explicit_zero_lower_bound_starts_at_the_smallest_valid_value(self):
+        assert [r.n for r in verify_weak_form(RunConfig(n_min=0, n_max=2))] == [1, 2]
+        rows = verify_t_conjectures(RunConfig(t_min=0, t_max=1, k_max=2, n_max=3))
+        assert [(r.n, r.k, r.t) for r in rows] == [(2, 2, 1), (3, 2, 1)]
+        rows = cross_validate_ekr(RunConfig(t_min=0, t_max=1, k_max=1, n_max=2))
+        assert [(r.n, r.k, r.t) for r in rows] == [(1, 1, 1), (2, 1, 1)]
+
+    def test_ekr_budget_exhaustion_yields_inconclusive_rows(self):
+        rows = cross_validate_ekr(RunConfig(n_max=6, node_budget=1))
+        inconclusive = [r for r in rows if not r.conclusive]
+        assert len(rows) == 30 and len(inconclusive) == 14
+        for row in inconclusive:
+            # the seeded star is the best family known at the abort
+            assert row.max_size == row.star_size
+            assert row.unique == "not_computed"
+        full = {(r.n, r.k, r.t): r for r in cross_validate_ekr(RunConfig(n_max=6))}
+        for row in rows:
+            if row.conclusive:
+                assert row == full[row.n, row.k, row.t]
+        assert summarize_ekr_rows(rows) == {
+            "instances": 30,
+            "verified": 16,
+            "refuted": 0,
+            "inconclusive": 14,
+        }
+
     def test_weak_rows_match_star_table(self, weak_sweep):
         for row in weak_sweep.rows:
             assert row.max_size == row.star_size
@@ -221,17 +265,19 @@ class TestSweeps:
         }
 
     def test_ekr_summary_checks_the_exact_maximum(self):
-        # (8,4,2) is below the threshold: star 15, Ahlswede-Khachatrian 17
+        # (8,4,2) is below the threshold: star 15, Ahlswede-Khachatrian 17;
+        # a row cut short by the budget is neither verified nor refuted
         sets = dict(n=8, k=4, t=2, relation="sets", star_size=15, unique="not_computed")
         rows = [
             make_row(**sets, max_size=17, star_is_maximum=False),
             make_row(**sets, max_size=16, star_is_maximum=False),
+            make_row(**sets, max_size=15, star_is_maximum=None),
         ]
         assert summarize_ekr_rows(rows) == {
-            "instances": 2,
+            "instances": 3,
             "verified": 1,
             "refuted": 1,
-            "inconclusive": 0,
+            "inconclusive": 1,
         }
 
 
