@@ -5,7 +5,9 @@ cache.  Reports go to stdout or --out in json or table form, and in csv
 form too for enumerate and the sweeps (verify and ekr-check); the
 process exits nonzero when a sweep finds counterexamples or a suite
 fails, so the harness can gate on the shell status.  Every sweep is one
-entry of _SWEEPS and takes only the grid options its runner reads.
+entry of _SWEEPS and takes only the grid options its runner reads.  Bad
+arguments, and instances over the vertex cap, exit 2 with one line on
+stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, fields
 
 from .cliques import (
@@ -36,7 +39,13 @@ from .harness import (
     verify_t_conjectures,
     verify_weak_form,
 )
-from .partitions import DEFAULT_MAX_VERTICES, count_all, count_partitions, enumerate_partitions
+from .partitions import (
+    DEFAULT_MAX_VERTICES,
+    ResourceGuardError,
+    count_all,
+    count_partitions,
+    enumerate_partitions,
+)
 
 
 # Each sweep: (runner, summariser, grid axes it reads, RunConfig overrides).
@@ -48,6 +57,31 @@ _SWEEPS = {
     "t-proper": (verify_t_conjectures, summarize_rows, "nkt", {"relation": Relation.PROPER}),
     "ekr-check": (cross_validate_ekr, summarize_ekr_rows, "nkt", {}),
 }
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error in one line and exits 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _int_from(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_POSITIVE, _NONNEGATIVE = _int_from(1), _int_from(0)
 
 
 # Option dests are RunConfig field names, so _config_from_args can pick them up.
@@ -70,29 +104,29 @@ def _add_search_options(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="partint",
         description="Exact maximum intersecting families of integer partitions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enum = sub.add_parser("enumerate", help="list P(n, k) in canonical order")
-    p_enum.add_argument("n", type=int)
-    p_enum.add_argument("k", type=int)
+    p_enum.add_argument("n", type=_POSITIVE)
+    p_enum.add_argument("k", type=_POSITIVE)
     p_enum.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
     _add_output_options(p_enum, "csv")
 
     p_count = sub.add_parser("count", help="p(n, k), or p(n) when k is omitted")
-    p_count.add_argument("n", type=int)
-    p_count.add_argument("k", type=int, nargs="?", default=None)
+    p_count.add_argument("n", type=_NONNEGATIVE)
+    p_count.add_argument("k", type=_NONNEGATIVE, nargs="?", default=None)
     _add_output_options(p_count)
 
     p_max = sub.add_parser(
         "max-family", help="certified maximum intersecting family for one instance"
     )
-    p_max.add_argument("--n", type=int, required=True)
-    p_max.add_argument("--k", type=int, default=None, help="omit to mix all lengths")
-    p_max.add_argument("--t", type=int, default=1)
+    p_max.add_argument("--n", type=_POSITIVE, required=True)
+    p_max.add_argument("--k", type=_POSITIVE, default=None, help="omit to mix all lengths")
+    p_max.add_argument("--t", type=_NONNEGATIVE, default=1)
     p_max.add_argument(
         "--relation", choices=[r.value for r in Relation], default="multiset"
     )
@@ -242,6 +276,9 @@ def main(argv: list[str] | None = None) -> int:
             f"{exc.upper_bound}] after {exc.nodes_explored} nodes\n"
         )
         return 1
+    except ResourceGuardError as exc:
+        sys.stderr.write(f"partint: error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

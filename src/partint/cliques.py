@@ -21,7 +21,9 @@ The engine is a Tomita-style maximum-clique search: vertices renumbered
 by descending eligible degree, adjacency kept as arbitrary-precision
 int bitsets, candidate sets bounded by greedy sequential colouring, and
 the incumbent seeded with a known clique (normally the star family) so
-the search only has to certify optimality or beat it.  It runs on an
+the search only has to certify optimality or beat it.  A frontend may
+split it into root branches that each force a few vertices; the set
+systems branch over the orbits of a symmetry group.  It runs on an
 explicit stack with no recursion, so no clique is too deep for the
 interpreter's recursion limit.  Budgets on explored nodes and wall time
 turn an over-long search into a SearchBudgetExceeded carrying the best
@@ -307,19 +309,20 @@ class _CliqueSearch:
                 if self.best_size >= stop:
                     return
 
-    def maximum(self, candidates: int, seed: list[int]) -> tuple[int, list[int]]:
-        """Size and witness of a maximum clique within ``candidates``.
+    def maximum(self, candidates: int, beat: int) -> list[int]:
+        """A maximum clique within ``candidates`` if it has more than ``beat`` members.
 
-        ``seed`` must be a clique inside ``candidates``; it primes the
-        incumbent so the search only explores potentially larger
-        cliques.
+        Returns it sorted, or [] when no clique there beats ``beat``.  The
+        incumbent starts at size ``beat`` with no witness (a known clique
+        elsewhere, such as a seed), so the search only explores cliques
+        that could be larger.
         """
-        self.best_size = len(seed)
-        self.best = list(seed)
+        self.best_size = beat
+        self.best = []
         if candidates:
             # no clique outgrows the candidates
             self._search(candidates, candidates.bit_count())
-        return self.best_size, sorted(self.best)
+        return sorted(self.best)
 
     def exists(self, candidates: int, target: int) -> bool:
         """True iff ``candidates`` contains a clique of size >= target."""
@@ -566,6 +569,7 @@ def _solve(
     star_ids: list[int] | None,
     validate: Callable[[list[int]], None],
     *,
+    branches: list[tuple[list[int], int]] | None = None,
     node_budget: int,
     time_budget_secs: float,
     deterministic: bool,
@@ -580,6 +584,18 @@ def _solve(
     A root colouring with as many classes as the seed certifies the seed
     maximum, and the branch-and-bound search is skipped; the id-order
     colouring even skips the renumbering (see ``_root_colouring``).
+
+    Otherwise the maximum is searched one root branch at a time.  A
+    branch (forced ids, candidate mask) is a clique of ``allowed``
+    vertices and a mask of their common neighbours within ``allowed``;
+    it yields the forced ids plus a maximum clique of the candidates,
+    searched on their own degree-ordered renumbering (``_permute``), the
+    root colouring's when the candidates are all of ``allowed``.  The
+    maximum is the largest of the seed and the branches' cliques, so the
+    caller must show that some maximum clique of ``allowed`` has the form
+    of one branch.  The default is the single branch ([], allowed).
+    Every branch is charged one node per forced vertex, as the search
+    charges a frame, and all branches share one node and time budget.
     """
     start = time.perf_counter()
     star_size = None if star_ids is None else len(star_ids)
@@ -607,24 +623,33 @@ def _solve(
     seed_ids = sorted(star_ids) if star_ids else []
     classes, perm_adj, ids = _root_colouring(adjacency, allowed, len(seed_ids))
     root_bound = len(classes)
-    # Without a renumbering the search object only meters the extraction.
-    search = _CliqueSearch(perm_adj or [], node_budget, time_budget_secs)
+    # Each branch sets the adjacency it searches; the extraction brings its own.
+    search = _CliqueSearch([], node_budget, time_budget_secs)
     size, witness = len(seed_ids), seed_ids
     upper_bound = root_bound
+    forced, branch_ids = [], []  # the branch whose best clique search.best holds
     try:
         if root_bound > size:
-            where = {v: i for i, v in enumerate(ids)}
-            size, witness_perm = search.maximum(
-                (1 << len(ids)) - 1, [where[v] for v in seed_ids]
-            )
-            witness = sorted(ids[i] for i in witness_perm)
+            for branch_forced, candidates in branches or [([], allowed)]:
+                for _ in branch_forced:
+                    search._charge()
+                if candidates == allowed:
+                    search.adj, branch_ids = perm_adj, ids
+                else:
+                    search.adj, branch_ids = _permute(adjacency, candidates)
+                forced = branch_forced
+                found = search.maximum((1 << len(branch_ids)) - 1, max(size - len(forced), 0))
+                if len(forced) + len(found) > size:
+                    size = len(forced) + len(found)
+                    witness = sorted(forced + [branch_ids[i] for i in found])
             upper_bound = size  # certified; only the extraction can abort now
         if deterministic and size > 0:
             # Lex order is over the original ids, not the permuted ones.
             witness = _lex_min_witness(adjacency, allowed, size, search)
     except _Abort as abort:
-        if search.best_size > size:  # the search had beaten the seed
-            size, witness = search.best_size, sorted(ids[i] for i in search.best)
+        if len(forced) + len(search.best) > size:  # the branch had beaten the incumbent
+            size = len(forced) + len(search.best)
+            witness = sorted(forced + [branch_ids[i] for i in search.best])
         raise SearchBudgetExceeded(
             str(abort),
             lower_bound=size,
@@ -815,6 +840,22 @@ class SetFamilyInstance:
         )
 
 
+def _vertex_zero_orbits(members: list[tuple[int, ...]], r: int, neighbours: int) -> list[int]:
+    """The orbits of vertex 0's stabiliser on its neighbours, as masks by ascending j.
+
+    Vertex 0 is {1..r}, and its stabiliser S_r x S_{n-r} permutes
+    {1..r} and {r+1..n} separately.  Orbit j holds the neighbours A with
+    |A & {1..r}| = j: the stabiliser preserves that count, and maps any
+    such A to any other by matching the j elements inside {1..r} and
+    the r - j outside.
+    """
+    orbits: dict[int, int] = {}
+    for v in _bit_ids(neighbours):
+        j = sum(x <= r for x in members[v])
+        orbits[j] = orbits.get(j, 0) | 1 << v
+    return [orbits[j] for j in sorted(orbits)]
+
+
 def max_family_set_system(
     instance: SetFamilyInstance,
     *,
@@ -841,6 +882,23 @@ def max_family_set_system(
       subset of vertex 0, so the star lies inside {0} | N(0).
 
     ``upper_bound_at_root`` is then the colour bound over {0} | N(0).
+
+    The maximum is searched in one branch per orbit O_j of vertex 0's
+    stabiliser on N(0) (``_vertex_zero_orbits``), by ascending j.  The
+    branch of O_j forces {0, rep_j}, rep_j the lowest id in O_j, and its
+    candidates are the common neighbours of both outside every earlier
+    orbit.  Some maximum clique K lies in a branch, with 0 and rep_j:
+
+    - If K = {0}, the seed, a nonempty clique, is already as large.
+    - Else let O_j be the first orbit in branch order that K meets, and
+      A a member of K in it.  Some s in the stabiliser maps A to rep_j.
+      s fixes 0 and preserves adjacency, so s(K) is a maximum clique
+      holding 0 and rep_j, and its other members are common neighbours
+      of both.  s preserves every orbit, so s(K) meets no orbit before
+      O_j either.
+
+    The lex-min extraction still runs over all of {0} | N(0), so the
+    witness does not depend on the branches.
     """
     n, r, t = instance.ground_size, instance.member_size, instance.t
     n_vertices = comb(n, r)
@@ -851,6 +909,12 @@ def max_family_set_system(
     allowed = 1 | adjacency[0]
     prefix = set(range(1, t + 1))
     star = [i for i, member in enumerate(members) if prefix.issubset(member)]
+    branches = []
+    earlier = 0
+    for orbit in _vertex_zero_orbits(members, r, adjacency[0]):
+        rep = (orbit & -orbit).bit_length() - 1
+        branches.append(([0, rep], adjacency[0] & adjacency[rep] & ~earlier))
+        earlier |= orbit
 
     def validate(ids: list[int]) -> None:
         # Elements every member holds are shared by every pair.
@@ -866,6 +930,7 @@ def max_family_set_system(
         allowed,
         star,
         validate,
+        branches=branches,
         node_budget=node_budget,
         time_budget_secs=time_budget_secs,
         deterministic=deterministic,

@@ -106,6 +106,35 @@ class TestOptionSets:
         assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
+class TestBadInput:
+    """Bad arguments and instances over the vertex cap: exit 2, one line on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["enumerate", "5", "0"], "argument k: expected an integer >= 1, got 0"),
+            (["count", "-1"], "argument n: expected an integer >= 0, got -1"),
+            (["max-family", "--n", "5", "--t", "-1"], "argument --t: expected an integer >= 0"),
+            (
+                ["verify", "strong", "--n-max", "30", "--max-vertices", "10"],
+                "p(11, 4) = 11 exceeds the vertex cap 10",
+            ),
+            (
+                ["max-family", "--n", "30", "--k", "8", "--max-vertices", "10"],
+                "p(30, 8) = 638 exceeds the vertex cap 10",
+            ),
+        ],
+    )
+    def test_exits_two_with_one_line(self, argv, message, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
+
+
 class TestCountAndEnumerate:
     def test_count_fixed_length(self, capsys):
         assert main(["count", "10", "3"]) == 0

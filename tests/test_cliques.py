@@ -4,7 +4,8 @@ import random
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from itertools import combinations
+from functools import partial
+from itertools import combinations, permutations
 from math import comb
 from types import SimpleNamespace
 
@@ -114,6 +115,19 @@ def set_system_graph(n, r, t):
             adjacency[v] |= 1 << u
     star = [i for i, m in enumerate(members) if set(range(1, t + 1)) <= m]
     return adjacency, star
+
+
+def set_system_solver(instance, **kwargs):
+    """``max_family_set_system``'s engine call, to rerun without rebuilding the graph."""
+    call = {}
+
+    def capture(*args, **engine_kwargs):
+        call.update(args=args, kwargs=engine_kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cliques, "_solve", capture)
+        max_family_set_system(instance, **kwargs)
+    return partial(cliques._solve, *call["args"], **call["kwargs"])
 
 
 class TestGraphConstruction:
@@ -532,7 +546,7 @@ class TestSeedValidationAndBudgets:
         full = (1 << n) - 1
         adjacency = [full ^ (1 << v) for v in range(n)]
         search = cliques._CliqueSearch(adjacency, 10**9, 600.0)
-        assert search.maximum(full, []) == (n, list(range(n)))
+        assert search.maximum(full, 0) == list(range(n))
 
 
 class TestSetSystems:
@@ -650,9 +664,71 @@ class TestSetSystems:
             assert all((anchored >> v) & 1 for v in star), (n, r, t)
 
     def test_anchored_search_node_count(self):
-        out = max_family_set_system(SetFamilyInstance(10, 4, 1))
-        assert out.max_size == 84
-        assert out.nodes_explored <= 10_000
+        # the orbit branches' search plus the lex-min extraction
+        for (n, r, t), maximum, nodes in [
+            ((10, 4, 1), 84, 301),
+            ((11, 4, 1), 120, 163),
+            ((12, 4, 1), 165, 196),
+        ]:
+            out = max_family_set_system(SetFamilyInstance(n, r, t))
+            assert (out.max_size, out.nodes_explored) == (maximum, nodes), (n, r, t)
+
+    def test_orbit_branches_match_the_single_branch_search(self):
+        # The single branch ([], {0} | N(0)) searches the whole anchored
+        # set at once; at (9,4,1) it takes about 279k nodes (about 9 s).
+        for n, r, t in EKR_GRID:
+            instance = SetFamilyInstance(n, r, t)
+            split = max_family_set_system(instance, deterministic=False)
+            adjacency, star = set_system_graph(n, r, t)
+            single = cliques._solve(
+                adjacency,
+                1 | adjacency[0],
+                star,
+                lambda ids: None,
+                node_budget=cliques.DEFAULT_NODE_BUDGET,
+                time_budget_secs=cliques.DEFAULT_TIME_BUDGET_SECS,
+                deterministic=False,
+            )
+            assert split.max_size == single.max_size == instance.ak_maximum, (n, r, t)
+
+    @pytest.mark.parametrize("n, r, t", [(6, 3, 1), (7, 3, 2), (8, 4, 1)])
+    def test_orbits_are_those_of_the_stabiliser_of_vertex_zero(self, n, r, t):
+        members = list(combinations(range(1, n + 1), r))
+        index = {m: i for i, m in enumerate(members)}
+        adjacency, _ = set_system_graph(n, r, t)
+        images = {v: 0 for v in range(len(members)) if adjacency[0] >> v & 1}
+        for inside in permutations(range(1, r + 1)):
+            for outside in permutations(range(r + 1, n + 1)):
+                sigma = dict(zip(range(1, n + 1), inside + outside))
+                for v in images:
+                    images[v] |= 1 << index[tuple(sorted(sigma[x] for x in members[v]))]
+        orbits = cliques._vertex_zero_orbits(members, r, adjacency[0])
+        assert sorted(orbits) == sorted(set(images.values()))
+        # one orbit per count |A & {1..r}|, ascending
+        counts = [sum(x <= r for x in members[cliques._bit_ids(o)[0]]) for o in orbits]
+        assert counts == sorted(set(counts)), (n, r, t)
+
+    def test_budget_abort_inside_a_branch(self):
+        # No branch of (10,4,1) beats the star of 84.  At (7,4,1) and
+        # (8,4,2) branches beat the stars of 20 and 15, so some aborts
+        # report a branch's forced vertices plus its best clique.
+        for (n, r, t), beaten in [((10, 4, 1), False), ((7, 4, 1), True), ((8, 4, 2), True)]:
+            instance = SetFamilyInstance(n, r, t)
+            members = list(combinations(range(1, n + 1), r))
+            full = max_family_set_system(instance, deterministic=False)
+            solve = set_system_solver(instance, deterministic=False)
+            lower_bounds = set()
+            for budget in range(1, full.nodes_explored):
+                with pytest.raises(SearchBudgetExceeded) as info:
+                    solve(node_budget=budget)
+                exc = info.value
+                family = [set(members[v]) for v in exc.witness]
+                assert len(family) == exc.lower_bound <= instance.ak_maximum <= exc.upper_bound
+                assert all(len(a & b) >= t for a, b in combinations(family, 2)), (n, r, t)
+                lower_bounds.add(exc.lower_bound)
+            last = solve(node_budget=full.nodes_explored)
+            assert last.max_size == instance.ak_maximum
+            assert (max(lower_bounds) > instance.star_size) is beaten, (n, r, t)
 
     def test_ak_maximum_known_values(self):
         # above the threshold the star; below it the larger AK families
@@ -1119,8 +1195,8 @@ class TestSearchOrder:
         if graph.eligible:
             reference.expand(graph.eligible, [])
         search = cliques._CliqueSearch(graph.adjacency, 10**6, 60.0)
-        got = search.maximum(graph.eligible, seed)
-        assert got == (reference.best_size, sorted(reference.best))
+        got = search.maximum(graph.eligible, len(seed)) or sorted(seed)
+        assert (len(got), got) == (reference.best_size, sorted(reference.best))
         assert search.nodes == reference.nodes
 
     @settings(max_examples=300, deadline=None)
