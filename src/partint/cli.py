@@ -66,22 +66,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _int_from(low: int) -> Callable[[str], int]:
-    """An argparse type: an integer no smaller than ``low``."""
+def _at_least(low: int, kind: type = int) -> Callable[[str], float]:
+    """An argparse type: an int (or float) no smaller than ``low``; NaN is refused."""
+    noun = "an integer" if kind is int else "a number"
 
-    def parse(text: str) -> int:
+    def parse(text: str) -> float:
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"expected {noun} >= {low}, got {value}")
         return value
 
     return parse
 
 
-_POSITIVE, _NONNEGATIVE = _int_from(1), _int_from(0)
+_POSITIVE, _NONNEGATIVE = _at_least(1), _at_least(0)
 
 
 # Option dests are RunConfig field names, so _config_from_args can pick them up.
@@ -92,9 +93,11 @@ def _add_output_options(parser: argparse.ArgumentParser, *formats: str) -> None:
 
 
 def _add_search_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
-    parser.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    parser.add_argument("--time-budget-secs", type=float, default=DEFAULT_TIME_BUDGET_SECS)
+    parser.add_argument("--max-vertices", type=_NONNEGATIVE, default=DEFAULT_MAX_VERTICES)
+    parser.add_argument("--node-budget", type=_NONNEGATIVE, default=DEFAULT_NODE_BUDGET)
+    parser.add_argument(
+        "--time-budget-secs", type=_at_least(0, float), default=DEFAULT_TIME_BUDGET_SECS
+    )
     parser.add_argument(
         "--deterministic",
         action=argparse.BooleanOptionalAction,
@@ -113,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="list P(n, k) in canonical order")
     p_enum.add_argument("n", type=_POSITIVE)
     p_enum.add_argument("k", type=_POSITIVE)
-    p_enum.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
+    p_enum.add_argument("--max-vertices", type=_NONNEGATIVE, default=DEFAULT_MAX_VERTICES)
     _add_output_options(p_enum, "csv")
 
     p_count = sub.add_parser("count", help="p(n, k), or p(n) when k is omitted")
@@ -143,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     modes = p_verify.add_subparsers(dest="mode", required=True)
 
     p_lemmas = sub.add_parser("lemmas", help="run the construction suites")
-    p_lemmas.add_argument("--trials", type=int, default=1000)
+    p_lemmas.add_argument("--trials", type=_POSITIVE, default=1000)
     p_lemmas.add_argument("--seed", type=int, default=0)
     _add_output_options(p_lemmas)
 

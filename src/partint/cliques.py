@@ -45,9 +45,12 @@ classes are returned in ``SearchOutcome.colour_classes``, and
 ``check_colour_certificate`` verifies them against the relation itself.
 ``check_uniqueness`` reuses such a colouring: a maximum clique meets
 every class, so only vertices adjacent to every class other than their
-own can join one.  Seeds and witnesses are validated through their
-common core: parts every member holds, whose size bounds every pairwise
-intersection from below.
+own can join one.  Both frontends recheck seeds and witnesses with
+``_validate_family``, against the relation itself, on sorted tuples: an
+r-subset's elements are its distinct parts, so the proper relation
+counts what two subsets share.  The check goes through the common core:
+parts every member holds, whose size bounds every pairwise intersection
+from below.
 """
 
 from __future__ import annotations
@@ -385,10 +388,10 @@ def _shared_parts(a: tuple[int, ...], b: tuple[int, ...], distinct: bool) -> tup
     return tuple(shared)
 
 
-def _validate_family(
-    partitions: list[Partition], relation: Relation, t: int, ids: list[int]
-) -> None:
+def _validate_family(members: list[tuple[int, ...]], relation: Relation, t: int) -> None:
     """Recheck a family against the relation itself, not the adjacency bits.
+
+    ``members`` are sorted tuples: partitions' parts, or r-subsets.
 
     First the members are folded into their common core: the parts all
     of them share, with min multiplicity under the multiset relation and
@@ -400,7 +403,6 @@ def _validate_family(
     values as the size of a set intersection.
     """
     distinct = relation is Relation.PROPER
-    members = [partitions[v].parts for v in ids]
     core = members[0] if members else ()
     for parts in members:
         core = _shared_parts(core, parts, distinct)
@@ -608,18 +610,6 @@ def _solve(
         if star_mask & ~allowed:
             raise ValueError("seed family contains ineligible vertices")
 
-    if not allowed:
-        return SearchOutcome(
-            max_size=0,
-            witness=[],
-            star_size=star_size,
-            star_is_maximum=None if star_size is None else star_size == 0,
-            nodes_explored=0,
-            elapsed=time.perf_counter() - start,
-            upper_bound_at_root=0,
-            colour_classes=[],
-        )
-
     seed_ids = sorted(star_ids) if star_ids else []
     classes, perm_adj, ids = _root_colouring(adjacency, allowed, len(seed_ids))
     root_bound = len(classes)
@@ -695,7 +685,9 @@ def max_family(
         graph.adjacency,
         graph.eligible,
         star,
-        partial(_validate_family, graph.partitions, graph.relation, graph.t),
+        lambda ids: _validate_family(
+            [graph.partitions[v].parts for v in ids], graph.relation, graph.t
+        ),
         node_budget=node_budget,
         time_budget_secs=time_budget_secs,
         deterministic=deterministic,
@@ -882,6 +874,8 @@ def max_family_set_system(
       subset of vertex 0, so the star lies inside {0} | N(0).
 
     ``upper_bound_at_root`` is then the colour bound over {0} | N(0).
+    The seed and witness are rechecked by ``_validate_family`` under the
+    proper relation, which on sorted r-subsets counts |A & B|.
 
     The maximum is searched in one branch per orbit O_j of vertex 0's
     stabiliser on N(0) (``_vertex_zero_orbits``), by ascending j.  The
@@ -916,20 +910,11 @@ def max_family_set_system(
         branches.append(([0, rep], adjacency[0] & adjacency[rep] & ~earlier))
         earlier |= orbit
 
-    def validate(ids: list[int]) -> None:
-        # Elements every member holds are shared by every pair.
-        sets = [set(members[v]) for v in ids]
-        if not sets or len(sets[0].intersection(*sets[1:])) >= t:
-            return
-        for a, b in combinations(sets, 2):
-            if len(a & b) < t:
-                raise RuntimeError("set-system family fails the intersection recheck")
-
     return _solve(
         adjacency,
         allowed,
         star,
-        validate,
+        lambda ids: _validate_family([members[v] for v in ids], Relation.PROPER, t),
         branches=branches,
         node_budget=node_budget,
         time_budget_secs=time_budget_secs,

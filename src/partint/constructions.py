@@ -107,6 +107,16 @@ def count_monotonicity_is_strict(m: int, n: int, k: int) -> bool:
 # -- fibre construction --------------------------------------------------
 
 
+# The Lemma2Report fields that each assert one fact.
+LEMMA2_ASSERTIONS = (
+    "pieces_disjoint",
+    "size_matches",
+    "members_partition_n",
+    "fibre_bound_holds",
+    "inequality_holds",
+)
+
+
 @dataclass
 class Lemma2Report:
     """Verified facts about the fibre family F for one (n, k, c).
@@ -133,13 +143,7 @@ class Lemma2Report:
 
     @property
     def all_assertions_hold(self) -> bool:
-        return (
-            self.pieces_disjoint
-            and self.size_matches
-            and self.members_partition_n
-            and self.fibre_bound_holds
-            and self.inequality_holds
-        )
+        return all(getattr(self, name) for name in LEMMA2_ASSERTIONS)
 
 
 def sort_tuple(x) -> Partition:

@@ -21,7 +21,7 @@ import json
 import os
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import combinations
 from math import comb
 
@@ -39,6 +39,7 @@ from .cliques import (
     max_family_set_system,
 )
 from .constructions import (
+    LEMMA2_ASSERTIONS,
     count_monotonicity_is_strict,
     lemma1_injection,
     lemma1_strictness_witness,
@@ -55,19 +56,6 @@ from .partitions import (
     enumerate_partitions,
 )
 from .stars import star_ids
-
-ROW_FIELDS = (
-    "n",
-    "k",
-    "t",
-    "relation",
-    "star_size",
-    "max_size",
-    "star_is_maximum",
-    "unique",
-    "witness_digest",
-    "elapsed",
-)
 
 
 class HarnessSelfCheckError(RuntimeError):
@@ -127,6 +115,9 @@ class SweepRow:
     @property
     def conclusive(self) -> bool:
         return self.star_is_maximum is not None
+
+
+ROW_FIELDS = tuple(f.name for f in fields(SweepRow))
 
 
 def witness_digest(members) -> str:
@@ -594,23 +585,14 @@ def _suite_padding(report: list[SuiteResult]) -> None:
     report.extend([injective, strict])
 
 
-_FIBRE_ASSERTIONS = (
-    "pieces_disjoint",
-    "size_matches",
-    "members_partition_n",
-    "fibre_bound_holds",
-    "inequality_holds",
-)
-
-
 def _suite_fibre(report: list[SuiteResult]) -> None:
-    suites = {name: SuiteResult(f"fibre_{name}") for name in _FIBRE_ASSERTIONS}
+    suites = {name: SuiteResult(f"fibre_{name}") for name in LEMMA2_ASSERTIONS}
     for k in (3, 4):
         for c in (1, 2):
             for offset in (0, 1, 7):
                 n = c * k**3 + offset
                 fibre = lemma2_family(n, k, c)
-                for name in _FIBRE_ASSERTIONS:
+                for name in LEMMA2_ASSERTIONS:
                     suites[name].record(getattr(fibre, name), f"(n={n}, k={k}, c={c})")
     report.extend(suites.values())
 

@@ -58,15 +58,6 @@ class Partition:
         """The number of parts."""
         return len(self.parts)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
     def __repr__(self) -> str:
         return f"Partition({self.parts!r})"
 

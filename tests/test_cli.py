@@ -123,6 +123,28 @@ class TestBadInput:
                 ["max-family", "--n", "30", "--k", "8", "--max-vertices", "10"],
                 "p(30, 8) = 638 exceeds the vertex cap 10",
             ),
+            (
+                ["verify", "strong", "--n-max", "5", "--node-budget", "-1"],
+                "argument --node-budget: expected an integer >= 0, got -1",
+            ),
+            (
+                ["verify", "strong", "--n-max", "5", "--time-budget-secs", "-1"],
+                "argument --time-budget-secs: expected a number >= 0, got -1.0",
+            ),
+            (
+                ["ekr-check", "--n-max", "5", "--time-budget-secs", "nan"],
+                "argument --time-budget-secs: expected a number >= 0, got nan",
+            ),
+            (
+                ["max-family", "--n", "5", "--max-vertices", "-1"],
+                "argument --max-vertices: expected an integer >= 0, got -1",
+            ),
+            (
+                ["enumerate", "5", "2", "--max-vertices", "-1"],
+                "argument --max-vertices: expected an integer >= 0, got -1",
+            ),
+            (["lemmas", "--trials", "0"], "argument --trials: expected an integer >= 1, got 0"),
+            (["lemmas", "--trials", "-1"], "argument --trials: expected an integer >= 1, got -1"),
         ],
     )
     def test_exits_two_with_one_line(self, argv, message, capsys):

@@ -368,6 +368,16 @@ class TestKnownInstances:
                     best = max(best, r)
         assert best == 4
 
+    def test_star_beaten_at_29_8(self):
+        # outside the default grids, which stop at n = 28 for k = 8
+        members = enumerate_partitions(29, 8)
+        graph = build_graph(members, "multiset", 1)
+        out = max_family(graph, star=star_ids(members, "multiset", 1))
+        assert (out.star_size, out.max_size, out.star_is_maximum) == (436, 439, False)
+        witness = [members[v] for v in out.witness]
+        assert len(witness) == 439 and witness_digest(witness) == "e4ad0f3b1c27353c"
+        assert all(t_intersects(a, b, 1) for a, b in combinations(witness, 2))
+
     def test_lifted_families_beat_higher_level_stars(self):
         # prepending ones to the size-4 family transports it to level t
         for t, n, k in [(2, 9, 4), (3, 10, 5)]:
@@ -386,8 +396,14 @@ class TestKnownInstances:
         # all vertices ineligible: the single partition of 3 into 3 parts
         # has one distinct part
         members = enumerate_partitions(3, 3)
-        out = max_family(build_graph(members, "proper", 2), star=[])
-        assert out.max_size == 0
+        graph = build_graph(members, "proper", 2)
+        assert graph.eligible == 0
+        for star, star_size, star_is_maximum in [(None, None, None), ([], 0, True)]:
+            out = max_family(graph, star=star)
+            assert out.max_size == 0 and out.witness == []
+            assert (out.star_size, out.star_is_maximum) == (star_size, star_is_maximum)
+            assert out.nodes_explored == 0 and out.upper_bound_at_root == 0
+            assert out.colour_classes == []
         # level-2 proper star over P(9, 5) has p(9-3, 3) members
         members = enumerate_partitions(9, 5)
         graph = build_graph(members, "proper", 2)
@@ -463,9 +479,9 @@ class TestSeedValidationAndBudgets:
         checked = []
         original = cliques._validate_family
 
-        def spy(partitions, relation, t, ids):
-            checked.append(list(ids))
-            original(partitions, relation, t, ids)
+        def spy(family, relation, t):
+            checked.append(list(family))
+            original(family, relation, t)
 
         monkeypatch.setattr(cliques, "_validate_family", spy)
         for n in (10, 8):
@@ -474,10 +490,11 @@ class TestSeedValidationAndBudgets:
             star = [i for i, p in enumerate(members) if p.parts[0] == 1]
             checked.clear()
             out = max_family(graph, star=star)
+            parts = [[members[v].parts for v in ids] for ids in (star, out.witness)]
             if n == 10:  # the star is the lex-min maximum: checked once
-                assert out.witness == star and checked == [star]
+                assert out.witness == star and checked == parts[:1]
             else:  # the star is beaten: seed and witness each checked
-                assert out.witness != star and checked == [star, out.witness]
+                assert out.witness != star and checked == parts
 
     def test_node_budget_exhaustion_carries_bounds(self):
         members = enumerate_partitions(12, 4)
@@ -1084,7 +1101,8 @@ def validated_as_cliques(graph):
     not relate, so the relation itself cannot judge its families.
     """
 
-    def validate(partitions, relation, t, ids):
+    def validate(family, relation, t):
+        ids = graph.vertex_ids(map(Partition, family))
         if not is_clique(graph, ids):
             raise RuntimeError(f"{ids} is not a clique of eligible vertices")
 
@@ -1248,7 +1266,7 @@ def pairwise_valid(family, relation, t):
 
 def validates(members, relation, t, ids):
     try:
-        cliques._validate_family(members, Relation(relation), t, ids)
+        cliques._validate_family([members[v].parts for v in ids], Relation(relation), t)
     except RuntimeError:
         return False
     return True
@@ -1267,7 +1285,7 @@ class TestCommonCoreValidation:
             members = enumerate_all(n) if k is None else enumerate_partitions(n, k)
             star = star_ids(members, relation, t)
             assert pairwise_valid([members[v] for v in star], relation, t)
-            cliques._validate_family(members, Relation(relation), t, star)
+            cliques._validate_family([members[v].parts for v in star], Relation(relation), t)
 
     def test_pinned_witnesses_fall_back_to_pairwise(self):
         # Their cores hold only the t-1 prepended ones, so every pair is
