@@ -2,12 +2,13 @@
 
 Subcommands: enumerate, count, max-family, verify, lemmas, ekr-check,
 cache.  Reports go to stdout or --out in json or table form, and in csv
-form too for enumerate and the sweeps (verify and ekr-check); the
-process exits nonzero when a sweep finds counterexamples or a suite
-fails, so the harness can gate on the shell status.  Every sweep is one
-entry of _SWEEPS and takes only the grid options its runner reads.  Bad
-arguments, and instances over the vertex cap, exit 2 with one line on
-stderr.
+form too for enumerate and the sweeps (verify and ekr-check).  The
+exit status gates a shell: 1 when max-family or a sweep refutes the
+star (ekr-check: misses the Ahlswede-Khachatrian maximum) or a suite
+fails, else 3 when some row ran out of budget before it was settled,
+else 0.  Every sweep is one entry of _SWEEPS and takes only the grid
+options its runner reads.  Bad arguments, and instances over the
+vertex cap, exit 2 with one line on stderr.
 """
 
 from __future__ import annotations
@@ -227,7 +228,9 @@ def _cmd_max_family(args: argparse.Namespace) -> int:
         pairs = ", ".join(f"{key}={value}" for key, value in asdict(row).items())
         text = pairs + "\n"
     _emit(text, args.out_path)
-    return 0 if not row.is_counterexample else 1
+    if row.is_counterexample:
+        return 1
+    return 0 if row.conclusive else 3
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -236,7 +239,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = runner(config)
     summary = summarise(rows)
     _emit(render_rows(config, rows, summary), config.out_path)
-    return 0 if summary["refuted"] == 0 else 1
+    if summary["refuted"]:
+        return 1
+    return 3 if summary["inconclusive"] else 0
 
 
 def _cmd_lemmas(args: argparse.Namespace) -> int:

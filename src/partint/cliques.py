@@ -15,7 +15,9 @@ elements for a set system), and two vertices are adjacent when they
 share at least t tokens.  The vertices holding each token form one
 bitmask, and for each vertex bit-sliced "at least j shared" counters
 over the masks of its tokens give its neighbours in O(tokens * t)
-big-int operations.
+big-int operations.  Renumbering reuses the index: the adjacency of
+vertices in a new order is the token index rebuilt over their token
+lists taken in that order, at the cost of building the graph.
 
 The engine is a Tomita-style maximum-clique search: vertices renumbered
 by descending eligible degree, adjacency kept as arbitrary-precision
@@ -62,7 +64,6 @@ from enum import Enum
 from functools import partial
 from itertools import combinations
 from math import comb
-from operator import itemgetter
 
 from .intersect import (
     Relation,
@@ -150,6 +151,10 @@ class IntersectionGraph:
             self._index.update((p, i) for i, p in enumerate(self.partitions))
         return sorted(self._index[p] for p in family)
 
+    def _renumbered(self, ids: list[int]) -> list[int]:
+        """The adjacency among ``ids``, vertex ``ids[i]`` renumbered i, built afresh."""
+        return _partition_adjacency([self.partitions[v] for v in ids], self.relation, self.t)
+
 
 def build_graph(
     partitions: list[Partition],
@@ -169,25 +174,34 @@ def build_graph(
     if n > max_vertices:
         raise ResourceGuardError(f"{n} vertices exceed the cap {max_vertices}")
 
-    if t == 0:
-        full = (1 << n) - 1
-        adjacency = [full & ~(1 << v) for v in range(n)]
-        eligible = full
-    else:
-        encode = indexed_part_set if relation is Relation.MULTISET else distinct_parts
-        token_lists = [encode(p) for p in partitions]
-        adjacency = _shared_token_adjacency(token_lists, t)
-        eligible = 0
-        for v, tokens in enumerate(token_lists):
-            if len(tokens) >= t:
-                eligible |= 1 << v
+    relates = t_intersects if relation is Relation.MULTISET else properly_t_intersects
+    eligible = 0
+    for v, p in enumerate(partitions):
+        if relates(p, p, t):
+            eligible |= 1 << v
     return IntersectionGraph(
         partitions=list(partitions),
         relation=relation,
         t=t,
-        adjacency=adjacency,
+        adjacency=_partition_adjacency(partitions, relation, t),
         eligible=eligible,
     )
+
+
+def _partition_adjacency(partitions: list[Partition], relation: Relation, t: int) -> list[int]:
+    """Adjacency of ``partitions`` at level t, ids in list order.
+
+    At t >= 1 each partition is encoded as its token set, the
+    (part, occurrence-index) pairs under the multiset relation and the
+    distinct parts under the proper one, and the encodings go through
+    the token index.  At t = 0 every pair relates: the graph is complete.
+    """
+    n = len(partitions)
+    if t == 0:
+        full = (1 << n) - 1
+        return [full & ~(1 << v) for v in range(n)]
+    encode = indexed_part_set if relation is Relation.MULTISET else distinct_parts
+    return _shared_token_adjacency([encode(p) for p in partitions], t)
 
 
 def _shared_token_adjacency(token_lists: list, t: int) -> list[int]:
@@ -339,26 +353,19 @@ class _CliqueSearch:
         return self.best_size >= target
 
 
-def _permute(adjacency: list[int], allowed: int) -> tuple[list[int], list[int]]:
+def _permute(
+    adjacency: list[int], allowed: int, rebuild: Callable[[list[int]], list[int]]
+) -> tuple[list[int], list[int]]:
     """Renumber allowed vertices by descending degree (ties: ascending id).
 
-    Returns (permuted adjacency restricted to allowed, position->original).
+    Returns (renumbered adjacency among the allowed vertices,
+    position -> original id).  ``rebuild(ids)`` builds the rows afresh,
+    with ``ids[i]`` as vertex i, from the frontend's token lists taken
+    in that order, at the cost of building the graph.
     """
     ids = [v for v in range(len(adjacency)) if (allowed >> v) & 1]
-    if not ids:
-        return [], []
     ids.sort(key=lambda v: (-(adjacency[v] & allowed).bit_count(), v))
-    # Each row is renumbered as a string: character v of the reversed
-    # binary form is bit v, and picking the characters at the new order
-    # highest position first gives the renumbered binary form.  With one
-    # id, itemgetter returns a bare character, which join accepts too.
-    width = allowed.bit_length()
-    pick = itemgetter(*reversed(ids))
-    perm_adj = [
-        int("".join(pick(format(adjacency[v] & allowed, f"0{width}b")[::-1])), 2)
-        for v in ids
-    ]
-    return perm_adj, ids
+    return rebuild(ids), ids
 
 
 def _shared_parts(a: tuple[int, ...], b: tuple[int, ...], distinct: bool) -> tuple[int, ...]:
@@ -400,7 +407,8 @@ def _validate_family(members: list[tuple[int, ...]], relation: Relation, t: int)
     least its size; a core of t or more parts proves the family valid.
     Otherwise every member and every pair is counted directly: shared
     parts with multiplicity by a two-pointer walk, shared distinct
-    values as the size of a set intersection.
+    values as the bit count of the AND of two masks, bit x set for each
+    value x a member holds.
     """
     distinct = relation is Relation.PROPER
     core = members[0] if members else ()
@@ -411,10 +419,15 @@ def _validate_family(members: list[tuple[int, ...]], relation: Relation, t: int)
     else:
         return
     if distinct:
-        keys = [frozenset(parts) for parts in members]
+        keys = []
+        for parts in members:
+            mask = 0
+            for x in parts:
+                mask |= 1 << x
+            keys.append(mask)
 
-        def common(a: frozenset[int], b: frozenset[int]) -> int:
-            return len(a & b)
+        def common(a: int, b: int) -> int:
+            return (a & b).bit_count()
 
     else:
         keys = members
@@ -459,22 +472,23 @@ def _bit_ids(mask: int) -> list[int]:
 
 
 def _root_colouring(
-    adjacency: list[int], allowed: int, size: int
+    adjacency: list[int], allowed: int, size: int, rebuild: Callable[[list[int]], list[int]]
 ) -> tuple[list[int], list[int] | None, list[int] | None]:
     """A greedy colouring of ``allowed`` that may certify a clique of ``size``.
 
     Colours in id order first, counting no further than size + 1
     classes.  With exactly ``size`` classes that colouring is returned,
     with no renumbering.  Otherwise the vertices are renumbered by
-    descending degree (``_permute``) and coloured in full, as the search
-    colours its root.  Returns (classes, perm_adj, ids): the class masks,
-    and for the degree order the renumbered adjacency and the
-    position -> original id list the masks refer to (else None, None).
+    descending degree (``_permute``, whose rows ``rebuild`` builds
+    afresh in the new order) and coloured in full, as the search colours
+    its root.  Returns (classes, perm_adj, ids): the class masks, and for
+    the degree order the renumbered adjacency and the position ->
+    original id list the masks refer to (else None, None).
     """
     classes = _colour_classes(adjacency, allowed, size + 1)
     if len(classes) == size:
         return classes, None, None
-    perm_adj, ids = _permute(adjacency, allowed)
+    perm_adj, ids = _permute(adjacency, allowed, rebuild)
     return _colour_classes(perm_adj, (1 << len(ids)) - 1, len(ids)), perm_adj, ids
 
 
@@ -571,6 +585,7 @@ def _solve(
     star_ids: list[int] | None,
     validate: Callable[[list[int]], None],
     *,
+    rebuild: Callable[[list[int]], list[int]],
     branches: list[tuple[list[int], int]] | None = None,
     node_budget: int,
     time_budget_secs: float,
@@ -581,7 +596,10 @@ def _solve(
     ``validate`` checks a family against the frontend's own relation and
     raises if it is not valid.  It runs on the seed before the search and
     on the final witness unless that is the seed itself, so every
-    returned family is checked once.
+    returned family is checked once.  ``rebuild(ids)`` is the adjacency
+    among ``ids`` with ``ids[i]`` as vertex i, built afresh from the
+    frontend's token lists; every degree-ordered renumbering
+    (``_permute``) takes its rows from it.
 
     A root colouring with as many classes as the seed certifies the seed
     maximum, and the branch-and-bound search is skipped; the id-order
@@ -611,7 +629,7 @@ def _solve(
             raise ValueError("seed family contains ineligible vertices")
 
     seed_ids = sorted(star_ids) if star_ids else []
-    classes, perm_adj, ids = _root_colouring(adjacency, allowed, len(seed_ids))
+    classes, perm_adj, ids = _root_colouring(adjacency, allowed, len(seed_ids), rebuild)
     root_bound = len(classes)
     # Each branch sets the adjacency it searches; the extraction brings its own.
     search = _CliqueSearch([], node_budget, time_budget_secs)
@@ -626,7 +644,7 @@ def _solve(
                 if candidates == allowed:
                     search.adj, branch_ids = perm_adj, ids
                 else:
-                    search.adj, branch_ids = _permute(adjacency, candidates)
+                    search.adj, branch_ids = _permute(adjacency, candidates, rebuild)
                 forced = branch_forced
                 found = search.maximum((1 << len(branch_ids)) - 1, max(size - len(forced), 0))
                 if len(forced) + len(found) > size:
@@ -688,6 +706,7 @@ def max_family(
         lambda ids: _validate_family(
             [graph.partitions[v].parts for v in ids], graph.relation, graph.t
         ),
+        rebuild=graph._renumbered,
         node_budget=node_budget,
         time_budget_secs=time_budget_secs,
         deterministic=deterministic,
@@ -764,7 +783,7 @@ def check_uniqueness(
     if max_size in graph._root_classes:
         tight_classes = graph._root_classes[max_size]
     else:
-        classes, _, ids = _root_colouring(adjacency, eligible, max_size)
+        classes, _, ids = _root_colouring(adjacency, eligible, max_size, graph._renumbered)
         tight_classes = _class_ids(classes, ids) if len(classes) == max_size else None
     if tight_classes is not None:
         for members in tight_classes:
@@ -915,6 +934,7 @@ def max_family_set_system(
         allowed,
         star,
         lambda ids: _validate_family([members[v] for v in ids], Relation.PROPER, t),
+        rebuild=lambda ids: _shared_token_adjacency([members[v] for v in ids], t),
         branches=branches,
         node_budget=node_budget,
         time_budget_secs=time_budget_secs,

@@ -226,7 +226,7 @@ class TestMaxFamily:
             ["max-family", "--n", "12", "--k", "4", "--node-budget", "1", "--format", "json"]
         )
         row = json.loads(capsys.readouterr().out)
-        assert code == 0
+        assert code == 3
         assert row["star_is_maximum"] is None
         assert row["unique"] == "inconclusive"
 
@@ -397,7 +397,7 @@ class TestLemmasAndSetSystems:
     def test_ekr_check_keeps_rows_when_the_budget_runs_out(self, capsys):
         code = main(["ekr-check", "--n-max", "6", "--node-budget", "1", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
-        assert code == 0
+        assert code == 3
         rows, summary = payload["rows"], payload["summary"]
         inconclusive = [r for r in rows if r["star_is_maximum"] is None]
         assert len(rows) == summary["instances"] == 30

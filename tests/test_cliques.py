@@ -3,7 +3,6 @@
 import random
 import sys
 from collections import Counter
-from contextlib import contextmanager
 from functools import partial
 from itertools import combinations, permutations
 from math import comb
@@ -16,7 +15,6 @@ from hypothesis import strategies as st
 
 from partint import cliques, intersect
 from partint import (
-    IntersectionGraph,
     Partition,
     Relation,
     ResourceGuardError,
@@ -67,17 +65,27 @@ def oracle_max_clique(members, relation, t):
     return best, best_sets
 
 
+def renumber_bitwise(adjacency, ids):
+    """The rows of ``ids`` among themselves, ``ids[i]`` as vertex i, one bit at a time."""
+    where = {v: i for i, v in enumerate(ids)}
+    rows = [0] * len(ids)
+    for v in ids:
+        for u in range(len(adjacency)):
+            if adjacency[v] >> u & 1 and u in where:
+                rows[where[v]] |= 1 << where[u]
+    return rows
+
+
 def reference_permute(adjacency, allowed):
     """``cliques._permute`` one bit at a time, through an id -> position map."""
     ids = [v for v in range(len(adjacency)) if (allowed >> v) & 1]
     ids.sort(key=lambda v: (-(adjacency[v] & allowed).bit_count(), v))
-    where = {v: i for i, v in enumerate(ids)}
-    perm_adj = [0] * len(ids)
-    for v in ids:
-        for u in range(len(adjacency)):
-            if (adjacency[v] & allowed) >> u & 1:
-                perm_adj[where[v]] |= 1 << where[u]
-    return perm_adj, ids
+    return renumber_bitwise(adjacency, ids), ids
+
+
+def token_rebuild(token_lists, t):
+    """A frontend's rebuild: the token index over ``token_lists`` taken in the order of ``ids``."""
+    return lambda ids: cliques._shared_token_adjacency([token_lists[v] for v in ids], t)
 
 
 def pairwise_reference(members, relation, levels):
@@ -262,6 +270,7 @@ class TestEngineAgainstOracles:
                 (1 << n_vertices) - 1,
                 None,
                 lambda ids: None,
+                rebuild=partial(renumber_bitwise, adjacency),
                 node_budget=cliques.DEFAULT_NODE_BUDGET,
                 time_budget_secs=cliques.DEFAULT_TIME_BUDGET_SECS,
                 deterministic=True,
@@ -294,32 +303,73 @@ class TestEngineAgainstOracles:
 
 class TestPermute:
     def test_matches_bit_by_bit_reference(self):
+        # Adjacency counted pair by pair from the token sets; the rebuild
+        # must renumber it as the reference does, bit by bit.
         rng = random.Random(83)
+        short = 0
         for _ in range(200):
             n_vertices = rng.randint(1, 40)
-            density = rng.uniform(0.0, 1.0)
-            adjacency = [0] * n_vertices
-            for u, v in combinations(range(n_vertices), 2):
-                if rng.random() < density:
-                    adjacency[u] |= 1 << v
-                    adjacency[v] |= 1 << u
-            # arbitrary, usually non-contiguous masks, and one vertex alone
+            t = rng.choice((1, 2, 3))
+            alphabet = rng.randint(1, 10)
+            token_lists = [
+                frozenset(rng.sample(range(alphabet), rng.randint(0, min(alphabet, 6))))
+                for _ in range(n_vertices)
+            ]
+            short += sum(len(tokens) < t for tokens in token_lists)
+            adjacency = [
+                sum(
+                    1 << u
+                    for u, other in enumerate(token_lists)
+                    if u != v and len(tokens & other) >= t
+                )
+                for v, tokens in enumerate(token_lists)
+            ]
+            rebuild = token_rebuild(token_lists, t)
+            # arbitrary, usually non-contiguous masks, one vertex alone, none
             for allowed in (
                 rng.getrandbits(n_vertices),
                 (1 << n_vertices) - 1,
                 1 << rng.randrange(n_vertices),
+                0,
             ):
-                assert cliques._permute(adjacency, allowed) == reference_permute(
+                assert cliques._permute(adjacency, allowed, rebuild) == reference_permute(
                     adjacency, allowed
                 )
+        assert short > 0  # some vertices hold fewer than t tokens
 
     def test_empty_rows_and_empty_mask(self):
         # vertices 1 and 2 have no neighbours; vertices 0 and 3 are adjacent
         adjacency = [0b1000, 0, 0, 0b0001]
+        rebuild = token_rebuild([{"a"}, set(), {"b"}, {"a"}], 1)
         for allowed in (0b1111, 0b1010, 0b0010, 0b1001, 0b0110, 0):
-            assert cliques._permute(adjacency, allowed) == reference_permute(
+            assert cliques._permute(adjacency, allowed, rebuild) == reference_permute(
                 adjacency, allowed
             )
+
+    @pytest.mark.parametrize("relation", ["multiset", "proper"])
+    @pytest.mark.parametrize("t", [0, 1, 2])
+    def test_partition_graphs_match_bit_by_bit_reference(self, relation, t):
+        rng = random.Random(89)
+        for members in (enumerate_partitions(12, 4), enumerate_partitions(16, 3), enumerate_all(9)):
+            graph = build_graph(members, relation, t)
+            everything = (1 << graph.n_vertices) - 1
+            for allowed in (graph.eligible, everything, rng.getrandbits(graph.n_vertices)):
+                assert cliques._permute(
+                    graph.adjacency, allowed, graph._renumbered
+                ) == reference_permute(graph.adjacency, allowed)
+
+    def test_set_system_branches_match_bit_by_bit_reference(self):
+        # the root of {0} | N(0) and every orbit branch's candidates
+        for n, r, t in EKR_GRID:
+            if comb(n, r) > 220:
+                continue
+            solve = set_system_solver(SetFamilyInstance(n, r, t))
+            adjacency, allowed = solve.args[:2]
+            rebuild = solve.keywords["rebuild"]
+            for _, candidates in [([], allowed)] + solve.keywords["branches"]:
+                assert cliques._permute(adjacency, candidates, rebuild) == reference_permute(
+                    adjacency, candidates
+                ), (n, r, t)
 
 
 class TestKnownInstances:
@@ -649,6 +699,7 @@ class TestSetSystems:
                     everything,
                     star,
                     lambda ids: None,
+                    rebuild=partial(renumber_bitwise, adjacency),
                     node_budget=cliques.DEFAULT_NODE_BUDGET,
                     time_budget_secs=cliques.DEFAULT_TIME_BUDGET_SECS,
                     deterministic=True,
@@ -702,6 +753,7 @@ class TestSetSystems:
                 1 | adjacency[0],
                 star,
                 lambda ids: None,
+                rebuild=partial(renumber_bitwise, adjacency),
                 node_budget=cliques.DEFAULT_NODE_BUDGET,
                 time_budget_secs=cliques.DEFAULT_TIME_BUDGET_SECS,
                 deterministic=False,
@@ -786,9 +838,11 @@ def reference_lex_min(adjacency, allowed, size, search):
     raise AssertionError("no clique of the given size")
 
 
-def colouring_category(adjacency, eligible, size):
+def colouring_category(graph, size):
     """Which root colouring, if any, has exactly ``size`` classes."""
-    classes, _, ids = cliques._root_colouring(adjacency, eligible, size)
+    classes, _, ids = cliques._root_colouring(
+        graph.adjacency, graph.eligible, size, graph._renumbered
+    )
     if ids is None:
         return "id order"
     return "degree order" if len(classes) == size else "neither"
@@ -814,13 +868,25 @@ def planted_graphs(draw):
 
 
 def as_graph(n, edges, ineligible):
+    """The graph on 0..n-1 with ``edges``, built as a multiset intersection graph at t = 2.
+
+    Vertex v holds the part v + 1, twice unless it is ineligible, and
+    for each edge at it two copies of that edge's own part above n.  So
+    two vertices share two parts exactly when they are joined, and an
+    ineligible vertex, one part alone, shares two with nothing.
+    """
+    parts = [[v + 1] * (1 if v in ineligible else 2) for v in range(n)]
+    for value, (u, v) in enumerate(sorted(edges), start=n + 1):
+        parts[u] += [value, value]
+        parts[v] += [value, value]
+    graph = build_graph([Partition(p) for p in parts], Relation.MULTISET, 2)
     adjacency = [0] * n
     for u, v in edges:
         adjacency[u] |= 1 << v
         adjacency[v] |= 1 << u
-    eligible = sum(1 << v for v in range(n) if v not in ineligible)
-    placeholders = [Partition((v + 1,)) for v in range(n)]
-    return IntersectionGraph(placeholders, Relation.MULTISET, 1, adjacency, eligible)
+    assert graph.adjacency == adjacency
+    assert graph.eligible == sum(1 << v for v in range(n) if v not in ineligible)
+    return graph
 
 
 def with_triangle(n, edges):
@@ -895,7 +961,7 @@ class TestUniquenessFilter:
             for spec in examples:
                 graph = as_graph(*spec)
                 size, _, unique = oracle_uniqueness(graph)
-                assert colouring_category(graph.adjacency, graph.eligible, size) == category
+                assert colouring_category(graph, size) == category
                 verdicts.add(unique)
             assert verdicts == {True, False}, category
 
@@ -906,7 +972,7 @@ class TestUniquenessFilter:
         graph = as_graph(*spec)
         size, star, unique = oracle_uniqueness(graph)
         if size:
-            event(colouring_category(graph.adjacency, graph.eligible, size))
+            event(colouring_category(graph, size))
         assert check_uniqueness(graph, star, size) is unique
 
     def test_cap_instances_need_no_search(self, cap_instances):
@@ -952,8 +1018,10 @@ class TestRootColouringReuse:
         star = star_ids(members, relation, t)
         out = max_family(graph, star=star)
         size = len(star)
-        assert colouring_category(graph.adjacency, graph.eligible, size) == category
-        classes, _, ids = cliques._root_colouring(graph.adjacency, graph.eligible, size)
+        assert colouring_category(graph, size) == category
+        classes, _, ids = cliques._root_colouring(
+            graph.adjacency, graph.eligible, size, graph._renumbered
+        )
         tight = cliques._class_ids(classes, ids) if len(classes) == size else None
         assert graph._root_classes == {size: tight}
         if unique is not None:
@@ -1093,24 +1161,6 @@ def is_clique(graph, ids):
     )
 
 
-@contextmanager
-def validated_as_cliques(graph):
-    """Let ``_validate_family`` check cliques in ``graph``'s own adjacency.
-
-    ``as_graph`` labels its vertices with placeholder partitions that do
-    not relate, so the relation itself cannot judge its families.
-    """
-
-    def validate(family, relation, t):
-        ids = graph.vertex_ids(map(Partition, family))
-        if not is_clique(graph, ids):
-            raise RuntimeError(f"{ids} is not a clique of eligible vertices")
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cliques, "_validate_family", validate)
-        yield
-
-
 def seeds(graph):
     """No seed, or a subset of a maximal clique (often all of it)."""
     maximal = maximal_cliques(graph)
@@ -1130,9 +1180,8 @@ class TestMaxFamilyAgainstNetworkx:
         size, lex_min, _ = oracle_uniqueness(graph)
         seed = data.draw(seeds(graph))
         event("unseeded" if seed is None else "seeded")
-        with validated_as_cliques(graph):
-            exact = max_family(graph, star=seed)
-            plain = max_family(graph, star=seed, deterministic=False)
+        exact = max_family(graph, star=seed)
+        plain = max_family(graph, star=seed, deterministic=False)
         assert exact.max_size == plain.max_size == size
         assert exact.witness == lex_min
         assert len(plain.witness) == size and is_clique(graph, plain.witness)
@@ -1149,14 +1198,13 @@ class TestMaxFamilyAgainstNetworkx:
         size, _, _ = oracle_uniqueness(graph)
         seed = data.draw(seeds(graph))
         deterministic = data.draw(st.booleans())
-        with validated_as_cliques(graph):
-            full = max_family(graph, star=seed, deterministic=deterministic)
-            if full.nodes_explored == 0:
-                return
-            budget = data.draw(st.integers(0, full.nodes_explored - 1))
-            with pytest.raises(SearchBudgetExceeded) as info:
-                max_family(graph, star=seed, node_budget=budget, deterministic=deterministic)
-            search_nodes = max_family(graph, star=seed, deterministic=False).nodes_explored
+        full = max_family(graph, star=seed, deterministic=deterministic)
+        if full.nodes_explored == 0:
+            return
+        budget = data.draw(st.integers(0, full.nodes_explored - 1))
+        with pytest.raises(SearchBudgetExceeded) as info:
+            max_family(graph, star=seed, node_budget=budget, deterministic=deterministic)
+        search_nodes = max_family(graph, star=seed, deterministic=False).nodes_explored
         exc = info.value
         assert exc.lower_bound <= size <= exc.upper_bound
         if budget >= search_nodes:  # aborted in extraction, after the search certified
@@ -1307,6 +1355,23 @@ class TestCommonCoreValidation:
                     grown = sorted(ids + [v])
                     expected = pairwise_valid([members[u] for u in grown], "multiset", t)
                     assert validates(members, "multiset", t, grown) is expected
+
+    def test_proper_family_with_one_failing_pair_raises(self):
+        # Pair by pair the distinct parts share {1, 2}, {1, 3}, {1, 2},
+        # {1, 4}, {1, 2} and {1}: only the last two members fail to
+        # 2-intersect properly, and the core {1} cannot settle it.
+        family = [(1, 1, 2, 3), (1, 2, 2, 4), (1, 3, 4, 4), (1, 2, 5, 5)]
+        failing = [
+            (a, b)
+            for a, b in combinations(family, 2)
+            if not properly_t_intersects(Partition(a), Partition(b), 2)
+        ]
+        assert failing == [((1, 3, 4, 4), (1, 2, 5, 5))]
+        for order in permutations(family):
+            with pytest.raises(RuntimeError, match="do not 2-intersect") as info:
+                cliques._validate_family(list(order), Relation.PROPER, 2)
+            assert all(str(part) in str(info.value) for part in failing[0])
+        cliques._validate_family(family[:3], Relation.PROPER, 2)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
