@@ -9,15 +9,16 @@ ineligible vertices are excluded up front, so the maximum family size
 is the clique number of the graph restricted to eligible vertices.
 
 Adjacency comes from a token index, never from testing pairs.  Each
-vertex is a set of tokens (its (part, occurrence-index) encoding under
-the multiset relation, its distinct parts under the proper one, its
-elements for a set system), and two vertices are adjacent when they
-share at least t tokens.  The vertices holding each token form one
-bitmask, and for each vertex bit-sliced "at least j shared" counters
-over the masks of its tokens give its neighbours in O(tokens * t)
-big-int operations.  Renumbering reuses the index: the adjacency of
-vertices in a new order is the token index rebuilt over their token
-lists taken in that order, at the cost of building the graph.
+vertex is a set of tokens (its (part, occurrence-index) pairs under the
+multiset relation, each packed into one int, its distinct parts under
+the proper one, its elements for a set system), and two vertices are
+adjacent when they share at least t tokens.  The vertices holding each
+token form one bitmask, and for each vertex bit-sliced "at least j
+shared" counters over the masks of its tokens give its neighbours in
+O(tokens * t) big-int operations.  Renumbering reuses the index: the
+adjacency of vertices in a new order is the token index rebuilt over
+their token lists taken in that order, at the cost of building the
+graph.
 
 The engine is a Tomita-style maximum-clique search: vertices renumbered
 by descending eligible degree, adjacency kept as arbitrary-precision
@@ -27,7 +28,10 @@ the search only has to certify optimality or beat it.  A frontend may
 split it into root branches that each force a few vertices; the set
 systems branch over the orbits of a symmetry group.  It runs on an
 explicit stack with no recursion, so no clique is too deep for the
-interpreter's recursion limit.  Budgets on explored nodes and wall time
+interpreter's recursion limit.  A frame whose candidates are pairwise
+adjacent (its colouring has one class per candidate) is closed in one
+node, not dived through one vertex per frame: the dive would reach the
+same clique as its first leaf.  Budgets on explored nodes and wall time
 turn an over-long search into a SearchBudgetExceeded carrying the best
 bounds found, never a silently inexact answer.  With deterministic=True
 the reported witness is the lexicographically smallest maximum clique in
@@ -67,8 +71,8 @@ from math import comb
 
 from .intersect import (
     Relation,
+    _occurrences,
     distinct_parts,
-    indexed_part_set,
     multiset_common_count,
     properly_t_intersects,
     t_intersects,
@@ -191,17 +195,25 @@ def build_graph(
 def _partition_adjacency(partitions: list[Partition], relation: Relation, t: int) -> list[int]:
     """Adjacency of ``partitions`` at level t, ids in list order.
 
-    At t >= 1 each partition is encoded as its token set, the
-    (part, occurrence-index) pairs under the multiset relation and the
-    distinct parts under the proper one, and the encodings go through
-    the token index.  At t = 0 every pair relates: the graph is complete.
+    At t >= 1 each partition is encoded as its tokens and the encodings
+    go through the token index.  Under the proper relation the tokens
+    are the distinct parts.  Under the multiset relation they are the
+    (part, occurrence-index) pairs, each packed into one int as
+    ``part * width + occurrence``: with ``width`` one more than the
+    longest partition, every occurrence index lies in 1..width - 1, so
+    the packing is injective.  At t = 0 every pair relates: the graph is
+    complete.
     """
     n = len(partitions)
     if t == 0:
         full = (1 << n) - 1
         return [full & ~(1 << v) for v in range(n)]
-    encode = indexed_part_set if relation is Relation.MULTISET else distinct_parts
-    return _shared_token_adjacency([encode(p) for p in partitions], t)
+    if relation is Relation.PROPER:
+        return _shared_token_adjacency([distinct_parts(p) for p in partitions], t)
+    width = max((p.k for p in partitions), default=0) + 1
+    return _shared_token_adjacency(
+        [[part * width + i for part, i in _occurrences(p.parts)] for p in partitions], t
+    )
 
 
 def _shared_token_adjacency(token_lists: list, t: int) -> list[int]:
@@ -291,6 +303,24 @@ class _CliqueSearch:
         entered are never branched on, as the incumbent only grows, so
         their masks are blanked and only their places kept: a deep
         search holds a few masks per frame, not one per class.
+
+        Clique frames.  A frame whose colouring has one class per
+        candidate is closed at once: ``chosen`` plus its candidates
+        becomes the incumbent if it is larger, and the bound then pops
+        the frame.  This is exact:
+
+        - Each class starts from the lowest uncoloured vertex and is a
+          singleton exactly when that vertex is adjacent to every vertex
+          still uncoloured.  So all classes are singletons exactly when
+          the candidates are pairwise adjacent.
+        - Diving through such a frame keeps every candidate in each
+          child, so its first leaf is ``chosen`` plus all the candidates,
+          the same clique, and the bound then cuts every sibling on the
+          way back up.  A frame that cannot beat the incumbent is popped
+          on entry either way.
+
+        So the same incumbent is found and the same stop decision made,
+        with one node charged for the frame instead of one per candidate.
         """
         chosen: list[int] = []  # the clique leading to the top frame
         frames: list[list] = []  # [untried candidates, colour classes]
@@ -298,7 +328,13 @@ class _CliqueSearch:
         while True:
             if child:
                 self._charge()
-                classes = _colour_classes(self.adj, child, child.bit_count())
+                count = child.bit_count()
+                classes = _colour_classes(self.adj, child, count)
+                if len(classes) == count and len(chosen) + count > self.best_size:
+                    self.best_size = len(chosen) + count
+                    self.best = chosen + _bit_ids(child)
+                    if self.best_size >= stop:
+                        return
                 low = max(0, min(self.best_size - len(frames), len(classes)))
                 classes[:low] = [0] * low
                 frames.append([child, classes])

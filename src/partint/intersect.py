@@ -12,7 +12,8 @@ index to each part, so the partition (2, 2, 5) becomes
 then plain set intersection of their encodings, as proper intersection
 is of the sets of distinct parts.  The encodings build the
 intersection graphs: ``cliques.build_graph`` indexes the partitions by
-the elements of their encodings.  The predicates below walk the sorted
+the elements of their encodings, with each (part, occurrence) pair
+packed into one int.  The predicates below walk the sorted
 parts tuples directly with two pointers.  They stay the independent
 recheck of every seed and witness family the engine returns, and the
 two sides are tested against each other.
@@ -20,6 +21,7 @@ two sides are tested against each other.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from enum import Enum
 
 from .partitions import Partition
@@ -36,6 +38,19 @@ IndexedPartSet = frozenset[tuple[int, int]]
 DistinctPartSet = frozenset[int]
 
 
+def _occurrences(parts: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """The (part, occurrence-index) pairs of sorted ``parts``, in order.
+
+    The i-th copy of a value v yields (v, i), counting from 1.
+    """
+    prev = 0
+    occurrence = 0
+    for part in parts:
+        occurrence = occurrence + 1 if part == prev else 1
+        yield part, occurrence
+        prev = part
+
+
 def indexed_part_set(a: Partition) -> IndexedPartSet:
     """The (part, occurrence-index) encoding of ``a``.
 
@@ -43,14 +58,7 @@ def indexed_part_set(a: Partition) -> IndexedPartSet:
     |indexed_part_set(a) & indexed_part_set(b)| is the number of parts
     the two partitions share with multiplicity.
     """
-    pairs: list[tuple[int, int]] = []
-    prev = 0
-    occurrence = 0
-    for part in a.parts:
-        occurrence = occurrence + 1 if part == prev else 1
-        pairs.append((part, occurrence))
-        prev = part
-    return frozenset(pairs)
+    return frozenset(_occurrences(a.parts))
 
 
 def distinct_parts(a: Partition) -> DistinctPartSet:

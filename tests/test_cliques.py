@@ -168,7 +168,9 @@ class TestGraphConstruction:
     def test_token_index_matches_pairwise(self):
         grid = [(n, k, (1, 2, 3, 4)) for n in range(1, 23) for k in range(1, n + 1)]
         large = [(n, k, (1, 2)) for n, k in [(40, 5), (36, 6), (30, 8), (34, 7)]]
-        for n, k, levels in grid + large:
+        # runs of 294 to 301 ones: occurrence indices far above any part
+        long_run = [(310, 302, (1, 294, 297, 300, 301, 302))]
+        for n, k, levels in grid + large + long_run:
             members = enumerate_partitions(n, k)
             for relation in ("multiset", "proper"):
                 reference = pairwise_reference(members, relation, levels)
@@ -427,6 +429,10 @@ class TestKnownInstances:
         witness = [members[v] for v in out.witness]
         assert len(witness) == 439 and witness_digest(witness) == "e4ad0f3b1c27353c"
         assert all(t_intersects(a, b, 1) for a, b in combinations(witness, 2))
+        # the search closes the frame where its candidates form a clique;
+        # diving through it, one vertex per frame, took 439 nodes
+        plain = max_family(graph, star=star_ids(members, "multiset", 1), deterministic=False)
+        assert plain.nodes_explored == 121
 
     def test_lifted_families_beat_higher_level_stars(self):
         # prepending ones to the size-4 family transports it to level t
@@ -572,16 +578,16 @@ class TestSeedValidationAndBudgets:
 
     def test_extraction_abort_reports_the_certified_maximum(self):
         # proper (34,7,2): root bound 432, maximum 431 beating a star of
-        # 427; the search takes 432 nodes, so node 433 is in extraction
+        # 427; the search takes 26 nodes, so node 27 is in extraction
         members = enumerate_partitions(34, 7)
         graph = build_graph(members, "proper", 2)
         star = star_ids(members, "proper", 2)
-        assert max_family(graph, star=star, deterministic=False).nodes_explored == 432
+        assert max_family(graph, star=star, deterministic=False).nodes_explored == 26
         with pytest.raises(SearchBudgetExceeded) as info:
-            max_family(graph, star=star, node_budget=432)
+            max_family(graph, star=star, node_budget=26)
         exc = info.value
         assert (exc.lower_bound, exc.upper_bound) == (431, 431)
-        assert len(exc.witness) == 431 and exc.nodes_explored == 433
+        assert len(exc.witness) == 431 and exc.nodes_explored == 27
 
     def test_lex_min_extraction_node_count(self):
         members = enumerate_partitions(40, 5)
@@ -598,7 +604,7 @@ class TestSeedValidationAndBudgets:
         graph = build_graph(members, "proper", 2)
         out = max_family(graph, star=star_ids(members, "proper", 2))
         assert (out.star_size, out.max_size) == (427, 431)
-        assert out.nodes_explored <= 889
+        assert out.nodes_explored <= 483
         # the search over 1,175 renumbered vertices leaves the limit alone
         assert sys.getrecursionlimit() == default_recursion_limit
 
@@ -608,12 +614,24 @@ class TestSeedValidationAndBudgets:
         assert row.star_is_maximum
 
     def test_clique_deeper_than_the_recursion_limit(self, default_recursion_limit):
-        # on K_1200 the search descends 1,200 frames deep
+        # K_1200 is one clique frame, closed at the root
         n = 1200
         full = (1 << n) - 1
         adjacency = [full ^ (1 << v) for v in range(n)]
         search = cliques._CliqueSearch(adjacency, 10**9, 600.0)
         assert search.maximum(full, 0) == list(range(n))
+        assert search.nodes == 1
+        # The cocktail-party graph on 2,400 vertices, 2i and 2i+1 not
+        # adjacent: every frame holds non-adjacent pairs, so none is a
+        # clique frame, and the search descends 1,200 frames deep.
+        n = 2400
+        full = (1 << n) - 1
+        adjacency = [full ^ (1 << v) ^ (1 << (v ^ 1)) for v in range(n)]
+        search = cliques._CliqueSearch(adjacency, 10**9, 600.0)
+        best = search.maximum(full, 0)
+        assert len(best) == 1200 and {v >> 1 for v in best} == set(range(1200))
+        assert search.nodes >= 1200
+        assert sys.getrecursionlimit() == default_recursion_limit
 
 
 class TestSetSystems:
@@ -1218,10 +1236,14 @@ class RecursiveSearch:
 
     The reference for ``_CliqueSearch``'s branching order, bound and node
     charges.  The search stops once ``best_size`` reaches ``target``.
+    With ``close_cliques`` a node whose candidates get one colour each
+    is a clique and is closed at once, as ``_CliqueSearch`` closes it;
+    without, the search dives through it one vertex per node.
     """
 
-    def __init__(self, adjacency, best, best_size, target=None):
+    def __init__(self, adjacency, best, best_size, target=None, close_cliques=True):
         self.adj, self.best, self.best_size, self.target = adjacency, best, best_size, target
+        self.close_cliques = close_cliques
         self.nodes = 0
 
     def expand(self, candidates, chosen):
@@ -1238,6 +1260,10 @@ class RecursiveSearch:
                 bounds.append(colour)
                 remaining ^= bit
                 avail = (avail ^ bit) & ~self.adj[v]
+        if self.close_cliques and colour == len(order):
+            if len(chosen) + colour > self.best_size:
+                self.best_size, self.best = len(chosen) + colour, chosen + order
+            return
         for v, bound in zip(reversed(order), reversed(bounds)):
             if self.target is not None and self.best_size >= self.target:
                 return
@@ -1278,6 +1304,20 @@ class TestSearchOrder:
         if graph.eligible.bit_count() >= target:
             reference.expand(graph.eligible, [])
         assert search.nodes == reference.nodes
+
+    @settings(max_examples=300, deadline=None)
+    @given(planted_graphs(), st.data())
+    def test_closing_clique_frames_finds_the_dived_clique(self, spec, data):
+        graph = as_graph(*spec)
+        seed = data.draw(seeds(graph)) or []
+        dive = RecursiveSearch(graph.adjacency, seed, len(seed), close_cliques=False)
+        if graph.eligible:
+            dive.expand(graph.eligible, [])
+        search = cliques._CliqueSearch(graph.adjacency, 10**6, 60.0)
+        got = search.maximum(graph.eligible, len(seed)) or sorted(seed)
+        assert (len(got), got) == (dive.best_size, sorted(dive.best))
+        assert search.nodes <= dive.nodes
+        event("fewer nodes" if search.nodes < dive.nodes else "same nodes")
 
     def test_exists_stops_at_the_target(self):
         # the first leaf reaches the target; searching on would charge
