@@ -9,7 +9,6 @@ the two shows up exactly when a shared part repeats.
 from partint import (
     Partition,
     distinct_common_count,
-    indexed_part_set,
     multiset_common_count,
     properly_t_intersects,
     t_intersects,
@@ -40,11 +39,3 @@ if __name__ == "__main__":
 
     # No shared parts at all.
     inspect_pair((1, 1, 6), (2, 3, 3))
-
-    # The occurrence-indexed encoding behind the multiset relation:
-    # each part becomes (value, occurrence index), so multiset overlap
-    # turns into plain set intersection.
-    p = Partition((2, 2, 5, 5, 5, 7))
-    print(f"indexed encoding of {p.parts}:")
-    for pair in sorted(indexed_part_set(p)):
-        print(f"  {pair}")

@@ -13,7 +13,6 @@ from partint import (
     fixed_set_family,
     star_all_lengths,
     star_t,
-    strip_required_parts,
 )
 
 
@@ -30,13 +29,13 @@ if __name__ == "__main__":
     show_star(10, 3, 1)
     show_star(12, 4, 2)
 
-    # The same principle works for any fixed multiset of required
-    # parts, via one removed copy per required value.
+    # The same principle works for any fixed set of required parts:
+    # removing one copy of each required value is a bijection onto
+    # P(11 - 5, 4 - 2).
     family = fixed_set_family(11, 4, {2, 3})
     print(f"partitions of 11 into 4 parts containing a 2 and a 3: {len(family)}")
     for p in family:
-        reduced = strip_required_parts(p, {2, 3})
-        print(f"  {p.parts} -> strip {{2, 3}} -> {reduced.parts}")
+        print(f"  {p.parts}")
     print(f"p(11 - 5, 4 - 2) = p(6, 2) = {count_partitions(6, 2)}")
     print()
 

@@ -55,10 +55,7 @@ from .harness import (
     witness_digest,
 )
 from .intersect import (
-    IndexedPartSet,
     distinct_common_count,
-    distinct_parts,
-    indexed_part_set,
     multiset_common_count,
     properly_t_intersects,
     t_intersects,
@@ -73,7 +70,7 @@ from .partitions import (
     enumerate_all,
     enumerate_partitions,
 )
-from .stars import fixed_set_family, star_all_lengths, star_t, strip_required_parts
+from .stars import fixed_set_family, star_all_lengths, star_t
 
 __version__ = "0.1.0"
 
@@ -85,7 +82,6 @@ __all__ = [
     "DEFAULT_NODE_BUDGET",
     "DEFAULT_TIME_BUDGET_SECS",
     "ENGINE_VERSION",
-    "IndexedPartSet",
     "IntersectionGraph",
     "Lemma2Report",
     "LemmaSuiteReport",
@@ -107,11 +103,9 @@ __all__ = [
     "count_partitions",
     "cross_validate_ekr",
     "distinct_common_count",
-    "distinct_parts",
     "enumerate_all",
     "enumerate_partitions",
     "fixed_set_family",
-    "indexed_part_set",
     "lemma1_injection",
     "lemma1_strictness_witness",
     "lemma2_family",
@@ -126,7 +120,6 @@ __all__ = [
     "sort_tuple",
     "star_all_lengths",
     "star_t",
-    "strip_required_parts",
     "summarize_ekr_rows",
     "summarize_rows",
     "t_intersects",

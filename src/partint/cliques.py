@@ -9,16 +9,19 @@ ineligible vertices are excluded up front, so the maximum family size
 is the clique number of the graph restricted to eligible vertices.
 
 Adjacency comes from a token index, never from testing pairs.  Each
-vertex is a set of tokens (its (part, occurrence-index) pairs under the
-multiset relation, each packed into one int, its distinct parts under
-the proper one, its elements for a set system), and two vertices are
-adjacent when they share at least t tokens.  The vertices holding each
-token form one bitmask, and for each vertex bit-sliced "at least j
-shared" counters over the masks of its tokens give its neighbours in
-O(tokens * t) big-int operations.  Renumbering reuses the index: the
+vertex is encoded once, as a list of tokens: its (part,
+occurrence-index) pairs under the multiset relation, each packed into
+one int, its distinct parts under the proper one, its elements for a
+set system.  Two vertices are adjacent when they share at least t
+tokens, and a vertex relates to itself when it holds at least t.  The
+vertices holding each token form one bitmask, and for each vertex
+bit-sliced "at least j shared" counters over the masks of its tokens
+give its neighbours in O(tokens * t) big-int operations.  A partition
+graph keeps its token lists, and every renumbering reuses them: the
 adjacency of vertices in a new order is the token index rebuilt over
 their token lists taken in that order, at the cost of building the
-graph.
+graph.  The pairwise counters of ``intersect`` share no code with this
+path; they recheck its results.
 
 The engine is a Tomita-style maximum-clique search: vertices renumbered
 by descending eligible degree, adjacency kept as arbitrary-precision
@@ -71,8 +74,6 @@ from math import comb
 
 from .intersect import (
     Relation,
-    _occurrences,
-    distinct_parts,
     multiset_common_count,
     properly_t_intersects,
     t_intersects,
@@ -132,9 +133,11 @@ class IntersectionGraph:
     masks the vertices that relate to themselves and may appear in any
     family.  Ineligible vertices are always isolated.
 
-    ``_root_classes`` is left by ``max_family`` for ``check_uniqueness``:
-    seed size -> the class id lists of the root colouring of the eligible
-    vertices when it has exactly that many classes, else None.
+    ``_tokens`` holds each vertex's token list (``_vertex_tokens``), from
+    which every renumbering of the adjacency is built.  ``_root_classes``
+    is left by ``max_family`` for ``check_uniqueness``: seed size -> the
+    class id lists of the root colouring of the eligible vertices when it
+    has exactly that many classes, else None.
     """
 
     partitions: list[Partition]
@@ -143,6 +146,7 @@ class IntersectionGraph:
     adjacency: list[int]
     eligible: int
     _index: dict[Partition, int] = field(default_factory=dict, repr=False)
+    _tokens: list[list[int]] = field(default_factory=list, repr=False)
     _root_classes: dict[int, list[list[int]] | None] = field(default_factory=dict, repr=False)
 
     @property
@@ -155,10 +159,6 @@ class IntersectionGraph:
             self._index.update((p, i) for i, p in enumerate(self.partitions))
         return sorted(self._index[p] for p in family)
 
-    def _renumbered(self, ids: list[int]) -> list[int]:
-        """The adjacency among ``ids``, vertex ``ids[i]`` renumbered i, built afresh."""
-        return _partition_adjacency([self.partitions[v] for v in ids], self.relation, self.t)
-
 
 def build_graph(
     partitions: list[Partition],
@@ -170,6 +170,10 @@ def build_graph(
     """Build the t-level intersection graph over ``partitions``.
 
     The partition list must be duplicate-free; ids follow list order.
+    Each partition is encoded once (``_vertex_tokens``), and the graph
+    keeps the token lists for its renumberings.  ``eligible`` masks the
+    partitions holding at least t tokens, the same mask as relating each
+    partition to itself: a partition shares all of its tokens with itself.
     """
     relation = Relation(relation)
     if t < 0:
@@ -178,55 +182,64 @@ def build_graph(
     if n > max_vertices:
         raise ResourceGuardError(f"{n} vertices exceed the cap {max_vertices}")
 
-    relates = t_intersects if relation is Relation.MULTISET else properly_t_intersects
+    token_lists = _vertex_tokens(partitions, relation)
     eligible = 0
-    for v, p in enumerate(partitions):
-        if relates(p, p, t):
+    for v, tokens in enumerate(token_lists):
+        if len(tokens) >= t:
             eligible |= 1 << v
     return IntersectionGraph(
         partitions=list(partitions),
         relation=relation,
         t=t,
-        adjacency=_partition_adjacency(partitions, relation, t),
+        adjacency=_shared_token_adjacency(token_lists, t),
         eligible=eligible,
+        _tokens=token_lists,
     )
 
 
-def _partition_adjacency(partitions: list[Partition], relation: Relation, t: int) -> list[int]:
-    """Adjacency of ``partitions`` at level t, ids in list order.
+def _vertex_tokens(partitions: list[Partition], relation: Relation) -> list[list[int]]:
+    """Each partition's tokens: two partitions share as many as the relation counts.
 
-    At t >= 1 each partition is encoded as its tokens and the encodings
-    go through the token index.  Under the proper relation the tokens
-    are the distinct parts.  Under the multiset relation they are the
-    (part, occurrence-index) pairs, each packed into one int as
-    ``part * width + occurrence``: with ``width`` one more than the
-    longest partition, every occurrence index lies in 1..width - 1, so
-    the packing is injective.  At t = 0 every pair relates: the graph is
-    complete.
+    Under the proper relation the tokens are the distinct parts.  Under
+    the multiset relation they are the (part, occurrence-index) pairs:
+    the i-th copy of a value v is (v, i), so two partitions share (v, i)
+    exactly when both hold v at least i times, and they share as many
+    pairs as parts with multiplicity.  Each pair is packed into one int
+    as ``part * width + i``: with ``width`` one more than the longest
+    partition, every i lies in 1..width - 1, so the packing is
+    injective.
     """
-    n = len(partitions)
-    if t == 0:
-        full = (1 << n) - 1
-        return [full & ~(1 << v) for v in range(n)]
     if relation is Relation.PROPER:
-        return _shared_token_adjacency([distinct_parts(p) for p in partitions], t)
+        return [list(set(p.parts)) for p in partitions]
     width = max((p.k for p in partitions), default=0) + 1
-    return _shared_token_adjacency(
-        [[part * width + i for part, i in _occurrences(p.parts)] for p in partitions], t
-    )
+    token_lists = []
+    for p in partitions:
+        tokens = []
+        prev = occurrence = 0
+        for part in p.parts:
+            occurrence = occurrence + 1 if part == prev else 1
+            tokens.append(part * width + occurrence)
+            prev = part
+        token_lists.append(tokens)
+    return token_lists
 
 
 def _shared_token_adjacency(token_lists: list, t: int) -> list[int]:
-    """Adjacency of vertices that share at least ``t`` >= 1 tokens.
+    """Adjacency of vertices that share at least ``t`` tokens.
 
-    Each vertex is a set of hashable tokens.  ``holders[token]`` masks
-    the vertices holding it.  For each vertex, bit-sliced counters
-    ``at_least[j]`` mask the vertices met in at least j of its tokens so
-    far; each token's holders raise them, highest level first so that a
-    vertex is counted once per token.  ``at_least[t]`` minus the vertex
-    itself is its neighbourhood.  A vertex with fewer than t tokens
-    shares t with nothing and stays isolated.
+    Each vertex is a list of distinct hashable tokens.  At t = 0 every
+    pair shares enough: the graph is complete.  Otherwise
+    ``holders[token]`` masks the vertices holding it.  For each vertex,
+    bit-sliced counters ``at_least[j]`` mask the vertices met in at
+    least j of its tokens so far; each token's holders raise them,
+    highest level first so that a vertex is counted once per token.
+    ``at_least[t]`` minus the vertex itself is its neighbourhood.  A
+    vertex with fewer than t tokens shares t with nothing and stays
+    isolated.
     """
+    if t == 0:
+        full = (1 << len(token_lists)) - 1
+        return [full & ~(1 << v) for v in range(len(token_lists))]
     holders: dict = {}
     for v, tokens in enumerate(token_lists):
         bit = 1 << v
@@ -390,18 +403,18 @@ class _CliqueSearch:
 
 
 def _permute(
-    adjacency: list[int], allowed: int, rebuild: Callable[[list[int]], list[int]]
+    adjacency: list[int], allowed: int, token_lists: list, t: int
 ) -> tuple[list[int], list[int]]:
     """Renumber allowed vertices by descending degree (ties: ascending id).
 
     Returns (renumbered adjacency among the allowed vertices,
-    position -> original id).  ``rebuild(ids)`` builds the rows afresh,
-    with ``ids[i]`` as vertex i, from the frontend's token lists taken
-    in that order, at the cost of building the graph.
+    position -> original id).  The rows are built afresh, with ``ids[i]``
+    as vertex i, by the token index over ``token_lists`` taken in that
+    order, at the cost of building the graph.
     """
     ids = [v for v in range(len(adjacency)) if (allowed >> v) & 1]
     ids.sort(key=lambda v: (-(adjacency[v] & allowed).bit_count(), v))
-    return rebuild(ids), ids
+    return _shared_token_adjacency([token_lists[v] for v in ids], t), ids
 
 
 def _shared_parts(a: tuple[int, ...], b: tuple[int, ...], distinct: bool) -> tuple[int, ...]:
@@ -508,15 +521,15 @@ def _bit_ids(mask: int) -> list[int]:
 
 
 def _root_colouring(
-    adjacency: list[int], allowed: int, size: int, rebuild: Callable[[list[int]], list[int]]
+    adjacency: list[int], allowed: int, size: int, token_lists: list, t: int
 ) -> tuple[list[int], list[int] | None, list[int] | None]:
     """A greedy colouring of ``allowed`` that may certify a clique of ``size``.
 
     Colours in id order first, counting no further than size + 1
     classes.  With exactly ``size`` classes that colouring is returned,
     with no renumbering.  Otherwise the vertices are renumbered by
-    descending degree (``_permute``, whose rows ``rebuild`` builds
-    afresh in the new order) and coloured in full, as the search colours
+    descending degree (``_permute``, which builds the rows afresh from
+    ``token_lists`` at level t) and coloured in full, as the search colours
     its root.  Returns (classes, perm_adj, ids): the class masks, and for
     the degree order the renumbered adjacency and the position ->
     original id list the masks refer to (else None, None).
@@ -524,7 +537,7 @@ def _root_colouring(
     classes = _colour_classes(adjacency, allowed, size + 1)
     if len(classes) == size:
         return classes, None, None
-    perm_adj, ids = _permute(adjacency, allowed, rebuild)
+    perm_adj, ids = _permute(adjacency, allowed, token_lists, t)
     return _colour_classes(perm_adj, (1 << len(ids)) - 1, len(ids)), perm_adj, ids
 
 
@@ -621,7 +634,8 @@ def _solve(
     star_ids: list[int] | None,
     validate: Callable[[list[int]], None],
     *,
-    rebuild: Callable[[list[int]], list[int]],
+    token_lists: list,
+    t: int,
     branches: list[tuple[list[int], int]] | None = None,
     node_budget: int,
     time_budget_secs: float,
@@ -632,10 +646,9 @@ def _solve(
     ``validate`` checks a family against the frontend's own relation and
     raises if it is not valid.  It runs on the seed before the search and
     on the final witness unless that is the seed itself, so every
-    returned family is checked once.  ``rebuild(ids)`` is the adjacency
-    among ``ids`` with ``ids[i]`` as vertex i, built afresh from the
-    frontend's token lists; every degree-ordered renumbering
-    (``_permute``) takes its rows from it.
+    returned family is checked once.  ``adjacency`` is the token index
+    over ``token_lists`` at level t, and every degree-ordered
+    renumbering (``_permute``) rebuilds its rows from the same lists.
 
     A root colouring with as many classes as the seed certifies the seed
     maximum, and the branch-and-bound search is skipped; the id-order
@@ -665,7 +678,7 @@ def _solve(
             raise ValueError("seed family contains ineligible vertices")
 
     seed_ids = sorted(star_ids) if star_ids else []
-    classes, perm_adj, ids = _root_colouring(adjacency, allowed, len(seed_ids), rebuild)
+    classes, perm_adj, ids = _root_colouring(adjacency, allowed, len(seed_ids), token_lists, t)
     root_bound = len(classes)
     # Each branch sets the adjacency it searches; the extraction brings its own.
     search = _CliqueSearch([], node_budget, time_budget_secs)
@@ -680,7 +693,7 @@ def _solve(
                 if candidates == allowed:
                     search.adj, branch_ids = perm_adj, ids
                 else:
-                    search.adj, branch_ids = _permute(adjacency, candidates, rebuild)
+                    search.adj, branch_ids = _permute(adjacency, candidates, token_lists, t)
                 forced = branch_forced
                 found = search.maximum((1 << len(branch_ids)) - 1, max(size - len(forced), 0))
                 if len(forced) + len(found) > size:
@@ -742,7 +755,8 @@ def max_family(
         lambda ids: _validate_family(
             [graph.partitions[v].parts for v in ids], graph.relation, graph.t
         ),
-        rebuild=graph._renumbered,
+        token_lists=graph._tokens,
+        t=graph.t,
         node_budget=node_budget,
         time_budget_secs=time_budget_secs,
         deterministic=deterministic,
@@ -819,7 +833,7 @@ def check_uniqueness(
     if max_size in graph._root_classes:
         tight_classes = graph._root_classes[max_size]
     else:
-        classes, _, ids = _root_colouring(adjacency, eligible, max_size, graph._renumbered)
+        classes, _, ids = _root_colouring(adjacency, eligible, max_size, graph._tokens, graph.t)
         tight_classes = _class_ids(classes, ids) if len(classes) == max_size else None
     if tight_classes is not None:
         for members in tight_classes:
@@ -970,7 +984,8 @@ def max_family_set_system(
         allowed,
         star,
         lambda ids: _validate_family([members[v] for v in ids], Relation.PROPER, t),
-        rebuild=lambda ids: _shared_token_adjacency([members[v] for v in ids], t),
+        token_lists=members,
+        t=t,
         branches=branches,
         node_budget=node_budget,
         time_budget_secs=time_budget_secs,

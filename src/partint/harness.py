@@ -695,7 +695,7 @@ def _config_dict(config: RunConfig) -> dict:
 def rows_to_json(config: RunConfig, rows: list[SweepRow], summary: dict) -> str:
     payload = {
         "config": _config_dict(config),
-        "rows": [asdict(row) for row in rows],
+        "rows": [{name: getattr(row, name) for name in ROW_FIELDS} for row in rows],
         "summary": summary,
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -712,16 +712,14 @@ def _cell(value) -> str:
 def rows_to_csv(rows: list[SweepRow]) -> str:
     lines = [",".join(ROW_FIELDS)]
     for row in rows:
-        data = asdict(row)
-        lines.append(",".join(_cell(data[name]) for name in ROW_FIELDS))
+        lines.append(",".join(_cell(getattr(row, name)) for name in ROW_FIELDS))
     return "\n".join(lines) + "\n"
 
 
 def rows_to_table(rows: list[SweepRow], summary: dict | None = None) -> str:
     cells = [[name for name in ROW_FIELDS]]
     for row in rows:
-        data = asdict(row)
-        rendered = [_cell(data[name]) for name in ROW_FIELDS]
+        rendered = [_cell(getattr(row, name)) for name in ROW_FIELDS]
         if row.is_counterexample:
             rendered[-1] += "  COUNTEREXAMPLE"
         cells.append(rendered)

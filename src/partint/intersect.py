@@ -6,22 +6,16 @@ They properly t-intersect when they share at least t distinct values.
 Proper t-intersection implies t-intersection, both relations are
 symmetric and monotone decreasing in t, and every pair 0-intersects.
 
-The multiset relation has a useful set encoding: attach an occurrence
-index to each part, so the partition (2, 2, 5) becomes
-{(2, 1), (2, 2), (5, 1)}.  Multiset intersection of two partitions is
-then plain set intersection of their encodings, as proper intersection
-is of the sets of distinct parts.  The encodings build the
-intersection graphs: ``cliques.build_graph`` indexes the partitions by
-the elements of their encodings, with each (part, occurrence) pair
-packed into one int.  The predicates below walk the sorted
-parts tuples directly with two pointers.  They stay the independent
-recheck of every seed and witness family the engine returns, and the
-two sides are tested against each other.
+The counters below walk the sorted parts tuples directly with two
+pointers, and the predicates compare their counts with t.  They are
+the independent recheck of every seed, witness and colouring the
+engine returns: ``cliques`` builds its graphs from token lists of its
+own and shares no code with them, and the two sides are tested
+against each other.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from enum import Enum
 
 from .partitions import Partition
@@ -32,38 +26,6 @@ class Relation(str, Enum):
 
     MULTISET = "multiset"  # shared parts counted with multiplicity
     PROPER = "proper"      # shared distinct part values
-
-
-IndexedPartSet = frozenset[tuple[int, int]]
-DistinctPartSet = frozenset[int]
-
-
-def _occurrences(parts: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-    """The (part, occurrence-index) pairs of sorted ``parts``, in order.
-
-    The i-th copy of a value v yields (v, i), counting from 1.
-    """
-    prev = 0
-    occurrence = 0
-    for part in parts:
-        occurrence = occurrence + 1 if part == prev else 1
-        yield part, occurrence
-        prev = part
-
-
-def indexed_part_set(a: Partition) -> IndexedPartSet:
-    """The (part, occurrence-index) encoding of ``a``.
-
-    Contains (v, i) exactly when v occurs at least i times in ``a``, so
-    |indexed_part_set(a) & indexed_part_set(b)| is the number of parts
-    the two partitions share with multiplicity.
-    """
-    return frozenset(_occurrences(a.parts))
-
-
-def distinct_parts(a: Partition) -> DistinctPartSet:
-    """The set of distinct part values of ``a``."""
-    return frozenset(a.parts)
 
 
 def multiset_common_count(

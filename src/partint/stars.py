@@ -94,21 +94,3 @@ def star_all_lengths(
     members = enumerate_all(n, max_vertices=max_vertices)
     return [members[i] for i in star_ids(members, Relation.MULTISET, t)]
 
-
-def strip_required_parts(p: Partition, required_parts: Iterable[int]) -> Partition:
-    """Remove one copy of each required part from ``p``.
-
-    The bijection witness for fixed_set_family: it maps the family for
-    T one-to-one onto P(n - sum(T), k - |T|).  Requires |T| < k and
-    every value of T present in ``p``.
-    """
-    pending = set(_as_part_spec(required_parts))
-    remaining: list[int] = []
-    for part in p.parts:
-        if part in pending:
-            pending.discard(part)
-        else:
-            remaining.append(part)
-    if pending:
-        raise ValueError(f"{sorted(pending)} not present in {p}")
-    return Partition(remaining)

@@ -83,9 +83,17 @@ def reference_permute(adjacency, allowed):
     return renumber_bitwise(adjacency, ids), ids
 
 
-def token_rebuild(token_lists, t):
-    """A frontend's rebuild: the token index over ``token_lists`` taken in the order of ``ids``."""
-    return lambda ids: cliques._shared_token_adjacency([token_lists[v] for v in ids], t)
+def edge_tokens(n_vertices, edges):
+    """Token lists of a graph at t = 1: each vertex holds the ids of its edges.
+
+    Two vertices share a token, the id of the edge between them, exactly
+    when they are adjacent.
+    """
+    token_lists = [[] for _ in range(n_vertices)]
+    for i, (u, v) in enumerate(edges):
+        token_lists[u].append(i)
+        token_lists[v].append(i)
+    return token_lists
 
 
 def pairwise_reference(members, relation, levels):
@@ -187,7 +195,8 @@ class TestGraphConstruction:
 
     def test_build_makes_no_pairwise_calls(self, monkeypatch):
         # proper (34,7,2) made about 690k counter calls when every pair
-        # was tested; the token index makes none.
+        # was tested; the token index makes none, and token counts decide
+        # which vertices relate to themselves.
         calls = 0
 
         def counting(fn):
@@ -206,7 +215,7 @@ class TestGraphConstruction:
         members = enumerate_partitions(34, 7)
         graph = build_graph(members, "proper", 2)
         assert graph.n_vertices == 1175
-        assert calls <= graph.n_vertices
+        assert calls == 0
 
     def test_level_zero_is_complete(self):
         members = enumerate_partitions(9, 3)
@@ -272,7 +281,8 @@ class TestEngineAgainstOracles:
                 (1 << n_vertices) - 1,
                 None,
                 lambda ids: None,
-                rebuild=partial(renumber_bitwise, adjacency),
+                token_lists=edge_tokens(n_vertices, graph.edges),
+                t=1,
                 node_budget=cliques.DEFAULT_NODE_BUDGET,
                 time_budget_secs=cliques.DEFAULT_TIME_BUDGET_SECS,
                 deterministic=True,
@@ -305,8 +315,8 @@ class TestEngineAgainstOracles:
 
 class TestPermute:
     def test_matches_bit_by_bit_reference(self):
-        # Adjacency counted pair by pair from the token sets; the rebuild
-        # must renumber it as the reference does, bit by bit.
+        # Adjacency counted pair by pair from the token sets; the token
+        # index must renumber it as the reference does, bit by bit.
         rng = random.Random(83)
         short = 0
         for _ in range(200):
@@ -326,7 +336,6 @@ class TestPermute:
                 )
                 for v, tokens in enumerate(token_lists)
             ]
-            rebuild = token_rebuild(token_lists, t)
             # arbitrary, usually non-contiguous masks, one vertex alone, none
             for allowed in (
                 rng.getrandbits(n_vertices),
@@ -334,7 +343,7 @@ class TestPermute:
                 1 << rng.randrange(n_vertices),
                 0,
             ):
-                assert cliques._permute(adjacency, allowed, rebuild) == reference_permute(
+                assert cliques._permute(adjacency, allowed, token_lists, t) == reference_permute(
                     adjacency, allowed
                 )
         assert short > 0  # some vertices hold fewer than t tokens
@@ -342,9 +351,9 @@ class TestPermute:
     def test_empty_rows_and_empty_mask(self):
         # vertices 1 and 2 have no neighbours; vertices 0 and 3 are adjacent
         adjacency = [0b1000, 0, 0, 0b0001]
-        rebuild = token_rebuild([{"a"}, set(), {"b"}, {"a"}], 1)
+        token_lists = [["a"], [], ["b"], ["a"]]
         for allowed in (0b1111, 0b1010, 0b0010, 0b1001, 0b0110, 0):
-            assert cliques._permute(adjacency, allowed, rebuild) == reference_permute(
+            assert cliques._permute(adjacency, allowed, token_lists, 1) == reference_permute(
                 adjacency, allowed
             )
 
@@ -357,7 +366,7 @@ class TestPermute:
             everything = (1 << graph.n_vertices) - 1
             for allowed in (graph.eligible, everything, rng.getrandbits(graph.n_vertices)):
                 assert cliques._permute(
-                    graph.adjacency, allowed, graph._renumbered
+                    graph.adjacency, allowed, graph._tokens, graph.t
                 ) == reference_permute(graph.adjacency, allowed)
 
     def test_set_system_branches_match_bit_by_bit_reference(self):
@@ -367,11 +376,11 @@ class TestPermute:
                 continue
             solve = set_system_solver(SetFamilyInstance(n, r, t))
             adjacency, allowed = solve.args[:2]
-            rebuild = solve.keywords["rebuild"]
+            token_lists = solve.keywords["token_lists"]
             for _, candidates in [([], allowed)] + solve.keywords["branches"]:
-                assert cliques._permute(adjacency, candidates, rebuild) == reference_permute(
-                    adjacency, candidates
-                ), (n, r, t)
+                assert cliques._permute(
+                    adjacency, candidates, token_lists, t
+                ) == reference_permute(adjacency, candidates), (n, r, t)
 
 
 class TestKnownInstances:
@@ -706,6 +715,7 @@ class TestSetSystems:
             if comb(n, r) > 220:
                 continue
             adjacency, star = set_system_graph(n, r, t)
+            members = list(combinations(range(1, n + 1), r))
             everything = (1 << len(adjacency)) - 1
             if (n, r, t) in costly:
                 search = cliques._CliqueSearch(adjacency, 10**6, 60.0)
@@ -717,13 +727,13 @@ class TestSetSystems:
                     everything,
                     star,
                     lambda ids: None,
-                    rebuild=partial(renumber_bitwise, adjacency),
+                    token_lists=members,
+                    t=t,
                     node_budget=cliques.DEFAULT_NODE_BUDGET,
                     time_budget_secs=cliques.DEFAULT_TIME_BUDGET_SECS,
                     deterministic=True,
                 )
                 size, witness = full.max_size, full.witness
-            members = list(combinations(range(1, n + 1), r))
             digest = witness_digest(".".join(map(str, members[v])) for v in witness)
             row = rows[(n, r, t)]
             assert (row.max_size, row.witness_digest) == (size, digest), (n, r, t)
@@ -771,7 +781,8 @@ class TestSetSystems:
                 1 | adjacency[0],
                 star,
                 lambda ids: None,
-                rebuild=partial(renumber_bitwise, adjacency),
+                token_lists=list(combinations(range(1, n + 1), r)),
+                t=t,
                 node_budget=cliques.DEFAULT_NODE_BUDGET,
                 time_budget_secs=cliques.DEFAULT_TIME_BUDGET_SECS,
                 deterministic=False,
@@ -859,7 +870,7 @@ def reference_lex_min(adjacency, allowed, size, search):
 def colouring_category(graph, size):
     """Which root colouring, if any, has exactly ``size`` classes."""
     classes, _, ids = cliques._root_colouring(
-        graph.adjacency, graph.eligible, size, graph._renumbered
+        graph.adjacency, graph.eligible, size, graph._tokens, graph.t
     )
     if ids is None:
         return "id order"
@@ -1008,16 +1019,24 @@ class TestRootColouringReuse:
     """check_uniqueness reads the root colouring max_family left on the graph."""
 
     def test_one_permute_for_max_family_and_uniqueness(self, monkeypatch):
-        # multiset (40,5,1): only the degree-ordered root colouring is tight
+        # multiset (40,5,1): only the degree-ordered root colouring is tight,
+        # and its renumbering reads the token lists build_graph encoded
         members = enumerate_partitions(40, 5)
+        calls, encodes = [], []
+        real_permute, real_encode = cliques._permute, cliques._vertex_tokens
+        monkeypatch.setattr(
+            cliques, "_permute", lambda *args: calls.append(1) or real_permute(*args)
+        )
+        monkeypatch.setattr(
+            cliques, "_vertex_tokens", lambda *args: encodes.append(1) or real_encode(*args)
+        )
         graph = build_graph(members, "multiset", 1)
+        assert len(encodes) == 1
         star = star_ids(members, "multiset", 1)
-        calls = []
-        real = cliques._permute
-        monkeypatch.setattr(cliques, "_permute", lambda *args: calls.append(1) or real(*args))
         out = max_family(graph, star=star)
         assert check_uniqueness(graph, star, out.max_size) is True
         assert len(calls) == 1
+        assert len(encodes) == 1
 
     @pytest.mark.parametrize(
         "n, k, t, relation, category, unique",
@@ -1038,7 +1057,7 @@ class TestRootColouringReuse:
         size = len(star)
         assert colouring_category(graph, size) == category
         classes, _, ids = cliques._root_colouring(
-            graph.adjacency, graph.eligible, size, graph._renumbered
+            graph.adjacency, graph.eligible, size, graph._tokens, graph.t
         )
         tight = cliques._class_ids(classes, ids) if len(classes) == size else None
         assert graph._root_classes == {size: tight}

@@ -7,14 +7,14 @@ import pytest
 
 from partint import (
     Partition,
+    Relation,
     distinct_common_count,
-    distinct_parts,
     enumerate_partitions,
-    indexed_part_set,
     multiset_common_count,
     properly_t_intersects,
     t_intersects,
 )
+from partint.cliques import _vertex_tokens
 
 
 def counter_common(a, b):
@@ -31,20 +31,29 @@ def random_partition(rng, n_max=24):
 
 
 class TestEncodings:
-    def test_indexed_part_set_counts_occurrences(self):
+    """The engine's encoder: the tokens each partition contributes to the token index."""
+
+    def test_multiset_tokens_count_occurrences(self):
         p = Partition((2, 2, 5, 5, 5, 7))
-        assert indexed_part_set(p) == frozenset(
-            {(2, 1), (2, 2), (5, 1), (5, 2), (5, 3), (7, 1)}
-        )
+        [tokens] = _vertex_tokens([p], Relation.MULTISET)
+        # packed as part * width + occurrence, width one more than the longest partition
+        assert sorted(divmod(token, p.k + 1) for token in tokens) == [
+            (2, 1), (2, 2), (5, 1), (5, 2), (5, 3), (7, 1)
+        ]
 
     def test_distinct_parts(self):
-        assert distinct_parts(Partition((2, 2, 5, 5, 5, 7))) == frozenset({2, 5, 7})
+        [tokens] = _vertex_tokens([Partition((2, 2, 5, 5, 5, 7))], Relation.PROPER)
+        assert sorted(tokens) == [2, 5, 7]
 
     def test_indexed_set_size_is_length(self):
+        # k tokens under the multiset relation, one per distinct value under the proper one
         rng = random.Random(11)
         for _ in range(100):
             p = random_partition(rng)
-            assert len(indexed_part_set(p)) == p.k
+            [multiset] = _vertex_tokens([p], Relation.MULTISET)
+            [proper] = _vertex_tokens([p], Relation.PROPER)
+            assert len(multiset) == len(set(multiset)) == p.k
+            assert len(proper) == len(set(proper)) == len(set(p.parts))
 
 
 class TestCommonCounts:
@@ -64,11 +73,16 @@ class TestCommonCounts:
             assert distinct_common_count(a.parts, b.parts) == expected
 
     def test_indexed_encoding_agrees_with_two_pointer(self):
+        # two partitions encoded together share as many tokens as the counters count
         rng = random.Random(31)
         for _ in range(200):
             a, b = random_partition(rng), random_partition(rng)
-            overlap = len(indexed_part_set(a) & indexed_part_set(b))
-            assert overlap == multiset_common_count(a.parts, b.parts)
+            for relation, common in [
+                (Relation.MULTISET, multiset_common_count),
+                (Relation.PROPER, distinct_common_count),
+            ]:
+                ta, tb = _vertex_tokens([a, b], relation)
+                assert len(set(ta) & set(tb)) == common(a.parts, b.parts), (a, b, relation)
 
     def test_stop_at_caps_the_count(self):
         rng = random.Random(37)

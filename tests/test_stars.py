@@ -1,20 +1,15 @@
 """Star families: size identities and membership filters."""
 
-import random
-
 import pytest
 
 from partint import (
-    Partition,
     count_all,
     count_partitions,
     enumerate_partitions,
     fixed_set_family,
     star_all_lengths,
     star_t,
-    strip_required_parts,
 )
-from partint.constructions import sort_tuple
 
 
 class TestFixedLengthStars:
@@ -45,7 +40,7 @@ class TestFixedLengthStars:
 class TestFixedSetFamilies:
     def test_size_matches_reduced_count(self):
         # removing one copy of each required part is a bijection onto
-        # the smaller enumeration
+        # the smaller enumeration, so the sizes agree
         cases = [(12, 4, {1, 2}), (14, 5, {1, 3}), (10, 3, {2}), (12, 5, {1, 2, 3})]
         for n, k, required in cases:
             family = fixed_set_family(n, k, required)
@@ -78,26 +73,3 @@ class TestMixedLengthStars:
         for p in star_all_lengths(9, 2):
             assert p.k >= 2 and p.parts[0] == 1 and p.parts[1] == 1
 
-
-class TestStripRequiredParts:
-    def test_removes_one_copy_each(self):
-        assert strip_required_parts(Partition((1, 1, 2, 3)), {1, 2}) == Partition((1, 3))
-
-    def test_round_trip_through_sorting(self):
-        rng = random.Random(53)
-        for _ in range(200):
-            n = rng.randint(4, 20)
-            k = rng.randint(2, n)
-            p = rng.choice(enumerate_partitions(n, k))
-            distinct = sorted(set(p.parts))
-            take = rng.randint(1, min(len(distinct), k - 1))
-            required = set(rng.sample(distinct, take))
-            if len(required) == k:
-                continue
-            stripped = strip_required_parts(p, required)
-            rebuilt = sort_tuple(stripped.parts + tuple(required))
-            assert rebuilt == p
-
-    def test_missing_part_rejected(self):
-        with pytest.raises(ValueError):
-            strip_required_parts(Partition((2, 3)), {1})
