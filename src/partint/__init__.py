@@ -46,7 +46,6 @@ from .harness import (
     cross_validate_ekr,
     run_lemma_suites,
     solve_instance,
-    summarize_ekr_rows,
     summarize_rows,
     verify_strong_form,
     verify_t_conjectures,
@@ -120,7 +119,6 @@ __all__ = [
     "sort_tuple",
     "star_all_lengths",
     "star_t",
-    "summarize_ekr_rows",
     "summarize_rows",
     "t_intersects",
     "verify_strong_form",

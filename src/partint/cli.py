@@ -3,10 +3,11 @@
 Subcommands: enumerate, count, max-family, verify, lemmas, ekr-check,
 cache.  Reports go to stdout or --out in json or table form, and in csv
 form too for enumerate and the sweeps (verify and ekr-check).  The
-exit status gates a shell: 1 when max-family or a sweep refutes the
-star (ekr-check: misses the Ahlswede-Khachatrian maximum) or a suite
-fails, else 3 when some row ran out of budget before it was settled,
-else 0.  Every sweep is one entry of _SWEEPS and takes only the grid
+exit status gates a shell: 1 when a max-family or sweep row refutes the
+star or a suite fails, else 3 when some row ran out of budget before it
+was settled, else 0.  An ekr-check row never refutes: a maximum off the
+Ahlswede-Khachatrian value raises HarnessSelfCheckError, an engine bug.
+Every sweep is one entry of _SWEEPS and takes only the grid
 options its runner reads.  Bad arguments, and instances over the
 vertex cap, exit 2 with one line on stderr.
 """
@@ -17,24 +18,23 @@ import argparse
 import json
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 from .cliques import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_TIME_BUDGET_SECS,
     Relation,
-    SearchBudgetExceeded,
 )
 from .harness import (
     RowCache,
     RunConfig,
     cross_validate_ekr,
     render_rows,
+    row_dict,
     run_lemma_suites,
     solve_instance,
     suite_report_to_json,
     suite_report_to_table,
-    summarize_ekr_rows,
     summarize_rows,
     verify_strong_form,
     verify_t_conjectures,
@@ -49,14 +49,14 @@ from .partitions import (
 )
 
 
-# Each sweep: (runner, summariser, grid axes it reads, RunConfig overrides).
+# Each sweep: (runner, grid axes it reads, RunConfig overrides).
 # ekr-check is a subcommand of its own; the others are modes of verify.
 _SWEEPS = {
-    "strong": (verify_strong_form, summarize_rows, "nk", {}),
-    "weak": (verify_weak_form, summarize_rows, "n", {}),
-    "t-multiset": (verify_t_conjectures, summarize_rows, "nkt", {"relation": Relation.MULTISET}),
-    "t-proper": (verify_t_conjectures, summarize_rows, "nkt", {"relation": Relation.PROPER}),
-    "ekr-check": (cross_validate_ekr, summarize_ekr_rows, "nkt", {}),
+    "strong": (verify_strong_form, "nk", {}),
+    "weak": (verify_weak_form, "n", {}),
+    "t-multiset": (verify_t_conjectures, "nkt", {"relation": Relation.MULTISET}),
+    "t-proper": (verify_t_conjectures, "nkt", {"relation": Relation.PROPER}),
+    "ekr-check": (cross_validate_ekr, "nkt", {}),
 }
 
 
@@ -86,7 +86,7 @@ def _at_least(low: int, kind: type = int) -> Callable[[str], float]:
 _POSITIVE, _NONNEGATIVE = _at_least(1), _at_least(0)
 
 
-# Option dests are RunConfig field names, so _config_from_args can pick them up.
+# Option dests other than out_path are RunConfig field names, for _config_from_args.
 def _add_output_options(parser: argparse.ArgumentParser, *formats: str) -> None:
     choices = ("json", *formats, "table")
     parser.add_argument("--format", dest="fmt", choices=choices, default="table")
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lemmas.add_argument("--seed", type=int, default=0)
     _add_output_options(p_lemmas)
 
-    for name, (_, _, axes, _) in _SWEEPS.items():
+    for name, (_, axes, _) in _SWEEPS.items():
         is_mode = name != "ekr-check"
         p_sweep = modes.add_parser(name) if is_mode else sub.add_parser(
             name, help="cross-validate the engine on set-system ground truth"
@@ -178,6 +178,13 @@ def _config_from_args(args: argparse.Namespace, **overrides) -> RunConfig:
     names = {f.name for f in fields(RunConfig)}
     given = {name: value for name, value in vars(args).items() if name in names}
     return RunConfig(**{**given, **overrides})
+
+
+def _exit_status(summary: dict) -> int:
+    """1 when a row refutes the star, else 3 when one is unsettled, else 0."""
+    if summary["refuted"]:
+        return 1
+    return 3 if summary["inconclusive"] else 0
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -222,26 +229,22 @@ def _cmd_max_family(args: argparse.Namespace) -> int:
     row = solve_instance(
         args.n, args.k, args.t, relation, config, None, uniqueness=args.uniqueness
     )
+    record = row_dict(row)
     if args.fmt == "json":
-        text = json.dumps(asdict(row), indent=2) + "\n"
+        text = json.dumps(record, indent=2) + "\n"
     else:
-        pairs = ", ".join(f"{key}={value}" for key, value in asdict(row).items())
-        text = pairs + "\n"
+        text = ", ".join(f"{key}={value}" for key, value in record.items()) + "\n"
     _emit(text, args.out_path)
-    if row.is_counterexample:
-        return 1
-    return 0 if row.conclusive else 3
+    return _exit_status(summarize_rows([row]))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    runner, summarise, _, overrides = _SWEEPS[args.sweep]
+    runner, _, overrides = _SWEEPS[args.sweep]
     config = _config_from_args(args, **overrides)
     rows = runner(config)
-    summary = summarise(rows)
-    _emit(render_rows(config, rows, summary), config.out_path)
-    if summary["refuted"]:
-        return 1
-    return 3 if summary["inconclusive"] else 0
+    summary = summarize_rows(rows)
+    _emit(render_rows(config, rows, summary), args.out_path)
+    return _exit_status(summary)
 
 
 def _cmd_lemmas(args: argparse.Namespace) -> int:
@@ -251,7 +254,7 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
         text = suite_report_to_json(config, report)
     else:
         text = suite_report_to_table(report)
-    _emit(text, config.out_path)
+    _emit(text, args.out_path)
     return 0 if report.all_passed else 1
 
 
@@ -278,12 +281,6 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except SearchBudgetExceeded as exc:
-        sys.stderr.write(
-            f"search budget exhausted: best bounds [{exc.lower_bound}, "
-            f"{exc.upper_bound}] after {exc.nodes_explored} nodes\n"
-        )
-        return 1
     except ResourceGuardError as exc:
         sys.stderr.write(f"partint: error: {exc}\n")
         return 2

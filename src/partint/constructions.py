@@ -168,9 +168,11 @@ def _piece_checks(piece, n: int, k: int) -> tuple[bool, bool]:
     return members_ok, max(fibres.values(), default=0) <= k - 1
 
 
-def lemma2_family(
-    n: int, k: int, c: int, *, materialize_limit: int = 2_000_000
-) -> Lemma2Report:
+# The most members lemma2_family builds F from; larger instances are refused.
+LEMMA2_MATERIALIZE_LIMIT = 2_000_000
+
+
+def lemma2_family(n: int, k: int, c: int) -> Lemma2Report:
     """Build and verify the fibre family F for n >= ck^3, k >= 3, c >= 1.
 
     Verifies every assertion exhaustively, one piece at a time on plain
@@ -179,7 +181,7 @@ def lemma2_family(
     which makes it disjoint from every other piece.  Only the p(n, k-1)
     base partitions are ever built as ``Partition`` objects, and F is
     never held whole.  Raises ResourceGuardError when
-    |F| = ck^2 * p(n, k-1) exceeds ``materialize_limit``.
+    |F| = ck^2 * p(n, k-1) exceeds ``LEMMA2_MATERIALIZE_LIMIT``.
     """
     if k < 3 or c < 1:
         raise ValueError(f"need k >= 3 and c >= 1, got k={k}, c={c}")
@@ -190,14 +192,14 @@ def lemma2_family(
     count_k = count_partitions(n, k)
     pieces = c * k * k
     expected = pieces * count_k1
-    if expected > materialize_limit:
+    if expected > LEMMA2_MATERIALIZE_LIMIT:
         raise ResourceGuardError(
-            f"the fibre family has {expected} members, above the cap {materialize_limit}"
+            f"the fibre family has {expected} members, above the cap {LEMMA2_MATERIALIZE_LIMIT}"
         )
 
     base = [
         (a.parts[:-1], a.parts[-1])
-        for a in enumerate_partitions(n, k - 1, max_vertices=materialize_limit)
+        for a in enumerate_partitions(n, k - 1, max_vertices=LEMMA2_MATERIALIZE_LIMIT)
     ]
     # Piece i subtracts i from the last part, so the first piece with a
     # nonpositive entry is i = the smallest last part.

@@ -1,11 +1,12 @@
 """Verification sweeps: run the exact engine over parameter grids.
 
 Each sweep instance compares the star family against the certified
-maximum family and records one SweepRow.  A row with max_size above
-star_size is a counterexample to the conjecture under test and is
+maximum family and records one SweepRow.  A partition row with max_size
+above star_size is a counterexample to the conjecture under test and is
 flagged; facts that are proven (small-n classifications, degeneracies,
-the set-system ground truth) are rechecked on every run and raise
-HarnessSelfCheckError if the engine ever disagrees with them.
+the set-system ground truth, which is a set-system row's only verdict)
+are rechecked on every run and raise HarnessSelfCheckError if the
+engine ever disagrees with them.
 
 Rows are reproducible bit for bit under the deterministic flag: the
 witness is canonical and elapsed is recorded as 0.0 (real timings only
@@ -70,7 +71,8 @@ class RunConfig:
     verify_* function).  ``relation`` only matters for the t-sweeps;
     ``trials`` and ``seed`` only for the randomized cover-set suite.
     The CLI sets only the fields a subcommand reads; the rest keep
-    their defaults, which reports still record in their ``config``.
+    their defaults, which reports record in their ``config``, all but
+    ``cache_path``.  Where a report is written is not a run setting.
     """
 
     n_min: int | None = None
@@ -88,7 +90,6 @@ class RunConfig:
     trials: int = 1000
     fail_fast: bool = False
     cache_path: str | None = None
-    out_path: str | None = None
     fmt: str = "table"
 
 
@@ -109,8 +110,9 @@ class SweepRow:
 
     @property
     def is_counterexample(self) -> bool:
-        """The certified maximum beats the star: the conjecture fails here."""
-        return self.star_is_maximum is False
+        """The certified maximum beats the star: the conjecture fails here.
+        Never on a set-system row, whose verdict is its Ahlswede-Khachatrian check."""
+        return self.star_is_maximum is False and self.relation != "sets"
 
     @property
     def conclusive(self) -> bool:
@@ -118,6 +120,12 @@ class SweepRow:
 
 
 ROW_FIELDS = tuple(f.name for f in fields(SweepRow))
+
+
+def row_dict(row: SweepRow) -> dict:
+    """The row's fields in ROW_FIELDS order: every cache line and report
+    writes a row from this one dict."""
+    return {name: getattr(row, name) for name in ROW_FIELDS}
 
 
 def witness_digest(members) -> str:
@@ -168,7 +176,7 @@ class RowCache:
             return
         self._rows[key] = row
         with open(self.path, "a", encoding="utf-8") as handle:
-            record = {"engine_version": ENGINE_VERSION, "row": asdict(row)}
+            record = {"engine_version": ENGINE_VERSION, "row": row_dict(row)}
             handle.write(json.dumps(record, separators=(",", ":")) + "\n")
 
     def stats(self) -> dict:
@@ -232,8 +240,6 @@ def solve_instance(
         digest = witness_digest(members[v] for v in outcome.witness)
         if not uniqueness:
             unique = Verdict.NOT_COMPUTED
-        elif max_size == 0:
-            unique = Verdict.YES
         elif star_is_maximum:
             try:
                 is_unique = check_uniqueness(
@@ -658,35 +664,24 @@ def run_lemma_suites(config: RunConfig = RunConfig()) -> LemmaSuiteReport:
 
 
 def summarize_rows(rows: list[SweepRow]) -> dict:
-    """verified = star maximum; refuted = beaten; inconclusive = timed out."""
+    """verified = settled and not refuted; refuted = a counterexample;
+    inconclusive = out of budget.  A settled set-system row is verified:
+    cross_validate_ekr raises on a maximum off the Ahlswede-Khachatrian value."""
+    refuted = sum(1 for r in rows if r.is_counterexample)
+    conclusive = sum(1 for r in rows if r.conclusive)
     return {
         "instances": len(rows),
-        "verified": sum(1 for r in rows if r.star_is_maximum is True),
-        "refuted": sum(1 for r in rows if r.is_counterexample),
-        "inconclusive": sum(1 for r in rows if not r.conclusive),
-    }
-
-
-def summarize_ekr_rows(rows: list[SweepRow]) -> dict:
-    """verified = a conclusive row matches the Ahlswede-Khachatrian maximum
-    exactly; refuted = it does not; inconclusive = out of budget."""
-    conclusive = [row for row in rows if row.conclusive]
-    verified = sum(
-        row.max_size == SetFamilyInstance(row.n, row.k, row.t).ak_maximum for row in conclusive
-    )
-    return {
-        "instances": len(rows),
-        "verified": verified,
-        "refuted": len(conclusive) - verified,
-        "inconclusive": len(rows) - len(conclusive),
+        "verified": conclusive - refuted,
+        "refuted": refuted,
+        "inconclusive": len(rows) - conclusive,
     }
 
 
 def _config_dict(config: RunConfig) -> dict:
-    """The run settings a report records; output locations are left out,
-    so identical runs give identical bytes wherever they write."""
+    """The run settings a report records; the cache location is left out,
+    so identical runs give identical bytes wherever they cache."""
     data = asdict(config)
-    del data["out_path"], data["cache_path"]
+    del data["cache_path"]
     data["relation"] = Relation(config.relation).value
     data["engine_version"] = ENGINE_VERSION
     return data
@@ -695,7 +690,7 @@ def _config_dict(config: RunConfig) -> dict:
 def rows_to_json(config: RunConfig, rows: list[SweepRow], summary: dict) -> str:
     payload = {
         "config": _config_dict(config),
-        "rows": [{name: getattr(row, name) for name in ROW_FIELDS} for row in rows],
+        "rows": [row_dict(row) for row in rows],
         "summary": summary,
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -712,14 +707,14 @@ def _cell(value) -> str:
 def rows_to_csv(rows: list[SweepRow]) -> str:
     lines = [",".join(ROW_FIELDS)]
     for row in rows:
-        lines.append(",".join(_cell(getattr(row, name)) for name in ROW_FIELDS))
+        lines.append(",".join(_cell(value) for value in row_dict(row).values()))
     return "\n".join(lines) + "\n"
 
 
 def rows_to_table(rows: list[SweepRow], summary: dict | None = None) -> str:
     cells = [[name for name in ROW_FIELDS]]
     for row in rows:
-        rendered = [_cell(getattr(row, name)) for name in ROW_FIELDS]
+        rendered = [_cell(value) for value in row_dict(row).values()]
         if row.is_counterexample:
             rendered[-1] += "  COUNTEREXAMPLE"
         cells.append(rendered)

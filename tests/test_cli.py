@@ -221,6 +221,29 @@ class TestMaxFamily:
         assert code == 0
         assert row["k"] is None and row["max_size"] == 22
 
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [
+            (
+                "json",
+                '{\n  "n": 8,\n  "k": 3,\n  "t": 1,\n  "relation": "multiset",\n'
+                '  "star_size": 3,\n  "max_size": 4,\n  "star_is_maximum": false,\n'
+                '  "unique": "no",\n  "witness_digest": "0645e639545fb658",\n'
+                '  "elapsed": 0.0\n}\n',
+            ),
+            (
+                "table",
+                "n=8, k=3, t=1, relation=multiset, star_size=3, max_size=4, "
+                "star_is_maximum=False, unique=no, witness_digest=0645e639545fb658, "
+                "elapsed=0.0\n",
+            ),
+        ],
+        ids=["json", "table"],
+    )
+    def test_row_text_is_pinned(self, capsys, fmt, text):
+        assert main(["max-family", "--n", "8", "--k", "3", "--t", "1", "--format", fmt]) == 1
+        assert capsys.readouterr().out == text
+
     def test_budget_exhaustion_reports_inconclusive_row(self, capsys):
         code = main(
             ["max-family", "--n", "12", "--k", "4", "--node-budget", "1", "--format", "json"]
@@ -394,6 +417,17 @@ class TestLemmasAndSetSystems:
         assert all(r["relation"] == "sets" for r in payload["rows"])
 
 
+    def test_only_partition_rows_are_tagged(self, capsys):
+        # below the threshold the AK maximum beats the set-system star;
+        # that is the expected value, not a counterexample
+        def tagged(argv):
+            main(argv + ["--format", "table"])
+            lines = capsys.readouterr().out.splitlines()
+            return [line.split()[:2] for line in lines if "COUNTEREXAMPLE" in line]
+
+        assert tagged(["ekr-check", "--n-max", "6", "--k-max", "3", "--t-max", "1"]) == []
+        assert tagged(["verify", "strong", "--n-max", "8"]) == [["8", "3"]]
+
     def test_ekr_check_keeps_rows_when_the_budget_runs_out(self, capsys):
         code = main(["ekr-check", "--n-max", "6", "--node-budget", "1", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
@@ -424,6 +458,17 @@ class TestCacheCommands:
         assert main(["cache", "clear", "--cache", str(cache)]) == 0
         capsys.readouterr()
         assert not cache.exists()
+
+    def test_cache_line_is_pinned(self, tmp_path):
+        cache = tmp_path / "rows.jsonl"
+        main(["verify", "strong", "--n-max", "8", "--cache", str(cache), "--format", "csv",
+              "--out", str(tmp_path / "ignore.csv")])
+        line = next(x for x in cache.read_text().splitlines() if '"n":8,"k":3,' in x)
+        assert line == (
+            '{"engine_version":"1","row":{"n":8,"k":3,"t":1,"relation":"multiset",'
+            '"star_size":3,"max_size":4,"star_is_maximum":false,"unique":"no",'
+            '"witness_digest":"0645e639545fb658","elapsed":0.0}}'
+        )
 
     def test_cached_rerun_gives_identical_report(self, tmp_path):
         cache = tmp_path / "rows.jsonl"

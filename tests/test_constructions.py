@@ -224,11 +224,13 @@ class TestFibreFamilies:
         assert report.count_k > report.c * report.count_k_minus_1
         assert report.inequality_holds
 
-    def test_materialize_limit_guard(self):
+    def test_materialize_limit_guard(self, monkeypatch):
         # |F| = 9 * p(27, 2) = 117 members
+        monkeypatch.setattr(constructions, "LEMMA2_MATERIALIZE_LIMIT", 116)
         with pytest.raises(ResourceGuardError):
-            lemma2_family(27, 3, 1, materialize_limit=116)
-        assert lemma2_family(27, 3, 1, materialize_limit=117).family_size == 117
+            lemma2_family(27, 3, 1)
+        monkeypatch.setattr(constructions, "LEMMA2_MATERIALIZE_LIMIT", 117)
+        assert lemma2_family(27, 3, 1).family_size == 117
 
     def test_k4_instance(self):
         report = lemma2_family(64, 4, 1)

@@ -22,7 +22,6 @@ from partint.harness import (
     run_lemma_suites,
     solve_instance,
     suite_report_to_json,
-    summarize_ekr_rows,
     summarize_rows,
     verify_strong_form,
     verify_t_conjectures,
@@ -58,6 +57,8 @@ class TestRowContract:
         assert not make_row().is_counterexample
         assert make_row(star_is_maximum=False).is_counterexample
         assert not make_row(star_is_maximum=None).is_counterexample
+        # a set-system maximum above the star is the AK value, checked elsewhere
+        assert not make_row(relation="sets", star_is_maximum=False).is_counterexample
         assert not make_row(star_is_maximum=None).conclusive
 
     def test_witness_digest_is_stable(self):
@@ -219,7 +220,7 @@ class TestSweeps:
         for row in rows:
             if row.conclusive:
                 assert row == full[row.n, row.k, row.t]
-        assert summarize_ekr_rows(rows) == {
+        assert summarize_rows(rows) == {
             "instances": 30,
             "verified": 16,
             "refuted": 0,
@@ -264,21 +265,27 @@ class TestSweeps:
             "inconclusive": 1,
         }
 
-    def test_ekr_summary_checks_the_exact_maximum(self):
-        # (8,4,2) is below the threshold: star 15, Ahlswede-Khachatrian 17;
-        # a row cut short by the budget is neither verified nor refuted
-        sets = dict(n=8, k=4, t=2, relation="sets", star_size=15, unique="not_computed")
-        rows = [
-            make_row(**sets, max_size=17, star_is_maximum=False),
-            make_row(**sets, max_size=16, star_is_maximum=False),
-            make_row(**sets, max_size=15, star_is_maximum=None),
-        ]
-        assert summarize_ekr_rows(rows) == {
-            "instances": 3,
-            "verified": 1,
-            "refuted": 1,
-            "inconclusive": 1,
-        }
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            # (5,3,1) is below the threshold: star 6, Ahlswede-Khachatrian 10
+            ({"max_size": 6, "star_is_maximum": True}, "Ahlswede-Khachatrian maximum 10"),
+            ({"star_size": 5}, r"expected C\(4, 2\)"),
+        ],
+        ids=["ak-miss", "star-size"],
+    )
+    def test_ekr_self_check_rejects_a_wrong_set_system_result(
+        self, monkeypatch, changes, message
+    ):
+        real = harness.max_family_set_system
+        monkeypatch.setattr(
+            harness,
+            "max_family_set_system",
+            lambda *a, **kw: dataclasses.replace(real(*a, **kw), **changes),
+        )
+        config = RunConfig(n_min=5, n_max=5, k_min=3, k_max=3, t_max=1)
+        with pytest.raises(HarnessSelfCheckError, match=message):
+            cross_validate_ekr(config)
 
 
 class TestRendering:
